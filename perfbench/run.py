@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Runs one workload of BENCHMARK.json and prints its result.
 
-    python3 perfbench/run.py --workload figures --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload campaigns --seed 1 --seconds 30 --trace 0
 
 Run from the root of a checkout. The script builds the `perfbench`
 package (its own Cargo workspace, with the repository's crates as path

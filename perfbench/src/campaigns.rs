@@ -1,5 +1,6 @@
 //! `campaigns`: the 49-fault switch-level and 184-fault MOS single-fault
 //! campaigns, collapsed and triaged, at `repro faults --fast` settings.
+//! Its traced run also runs the paper's experiments once (`figures`).
 
 use std::collections::BTreeMap;
 
@@ -17,7 +18,7 @@ use pwmcell::faults::{switch_adder_universe, weighted_adder_universe};
 use pwmcell::{AdderSpec, SwitchAdder, Technology, WeightedAdder};
 
 use crate::metrics::Outcome;
-use crate::{reference, spans, stats, Latency, Timed, Units};
+use crate::{figures, reference, spans, stats, Timed, Units};
 
 /// Campaign weights and duties, as in `repro faults`.
 const WEIGHTS: [u32; 3] = [7, 5, 3];
@@ -89,8 +90,7 @@ fn job(s: &Setup, out: &mut Outcome, obs: &mut dyn Observer) -> Reports {
 }
 
 /// The untraced run: repeats the job while time remains.
-pub fn measure(s: &Setup, seconds: f64, out: &mut Outcome) {
-    let mut jobs = Units::default();
+pub fn measure(s: &Setup, seconds: f64, jobs: &mut Units, out: &mut Outcome) {
     jobs.repeat(seconds, |jobs| {
         let before = out.attempted;
         let mut times = FaultTimes::default();
@@ -98,7 +98,6 @@ pub fn measure(s: &Setup, seconds: f64, out: &mut Outcome) {
         let verdicts = (out.attempted - before) as f64;
         jobs.add(timed.wall, timed.cpu, verdicts, &times.0);
     });
-    jobs.report(out, Latency::PerOperation);
 }
 
 /// A campaign fixture rebuilt as `core::faults` builds it.
@@ -189,8 +188,10 @@ fn replay(s: &Setup, reports: &Reports, rec: &mut MemoryRecorder) -> u64 {
 }
 
 /// The traced run: one untraced job, one traced job, the zero-transient
-/// triage pass, then the fault replay for the solver-layer split.
-pub fn trace(s: &Setup, out: &mut Outcome) {
+/// triage pass, then the fault replay for the solver-layer split. The
+/// paper's experiments (`figures`), the other batch path through the same
+/// transient stack, run once after it, each timed in its own span.
+pub fn trace(s: &Setup, experiments: &figures::Setup, out: &mut Outcome) {
     let untraced = Timed::run(|| job(s, out, &mut FaultTimes::default()));
     spans::install();
     let mut live = MemoryRecorder::new();
@@ -203,12 +204,15 @@ pub fn trace(s: &Setup, out: &mut Outcome) {
     });
     let mut rec = MemoryRecorder::new();
     let replayed = replay(s, &traced.value, &mut rec);
+    figures::trace(experiments, out);
     let all = spans::take();
     let totals = spans::totals(&all);
+    figures::report(&totals, out);
 
+    // How faithfully the replay mirrors the campaign is a property of the
+    // benchmark, not an answer of the program: a note, not a check.
     let simulated = live.counter_value("sweep.points");
-    out.check(replayed == simulated);
-    out.note("faults_replayed", replayed);
+    out.note("faults_replayed", format!("{replayed} of {simulated}"));
     out.count("faults.simulated", simulated);
     let fault_ms: Vec<f64> = live
         .histogram_values("sweep.wall_ns")

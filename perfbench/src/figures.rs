@@ -1,19 +1,17 @@
-//! `figures`: the simulating `repro all --fast` experiments.
+//! The simulating `repro all --fast` experiments, run through
+//! `bench::experiments`: the researcher's path, and the
+//! `bench::experiments` layer of the traced `campaigns` run.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use bench::experiments as ex;
-use mssim::prelude::MemoryRecorder;
 use pwmcell::{SimQuality, Technology};
 
 use crate::metrics::Outcome;
-use crate::replay::{self, AdderCase};
-use crate::{reference, spans, Latency, Timed, Units};
+use crate::{reference, spans};
 
 /// The simulating experiments of `repro all`, in its order. Fig. 7 is
-/// Fig. 6's data divided by Vdd, so one call serves both. The traced run
-/// times all of them.
+/// Fig. 6's data divided by Vdd, so one call serves both.
 pub const EXPERIMENTS: [&str; 10] = [
     "fig4",
     "fig5",
@@ -25,23 +23,6 @@ pub const EXPERIMENTS: [&str; 10] = [
     "mc",
     "xval",
     "full_perceptron",
-];
-
-/// The untraced run's job: the figure, Table II and ablation experiments,
-/// about 4 s at `--fast` quality. The whole list takes about 12 s, and two
-/// jobs in a 30-second run could not outrun the host: a slow minute moved
-/// that job by a third from one run to the next. Seven jobs of this one
-/// give each experiment seven tries at an undisturbed second. The Monte
-/// Carlo, cross-validation and full-perceptron experiments run (and are
-/// checked) in the traced run.
-const TIMED: &[&str] = &[
-    "fig4",
-    "fig5",
-    "fig6",
-    "table2",
-    "fig8",
-    "ablation_rout",
-    "ablation_cout",
 ];
 
 /// How a value is compared with its recorded counterpart.
@@ -67,7 +48,7 @@ fn v(name: String, value: f64, tol: Tol) -> Value {
     Value { name, value, tol }
 }
 
-/// Everything a job needs before its first measured call.
+/// Everything the experiments need before the first one runs.
 pub struct Setup {
     tech: Technology,
     quality: SimQuality,
@@ -230,81 +211,23 @@ fn matches(s: &Setup, value: &Value) -> bool {
     }
 }
 
-/// Runs the named experiments, checking every value; returns each
-/// experiment's wall time in µs.
-fn job(s: &Setup, out: &mut Outcome, experiments: &[&'static str]) -> Vec<f64> {
-    experiments
-        .iter()
-        .map(|&name| {
-            let t0 = Instant::now();
-            let values = spans::span(name, None, || experiment(s, name));
-            let us = t0.elapsed().as_secs_f64() * 1e6;
-            for value in &values {
-                out.check(matches(s, value));
-            }
-            us
-        })
-        .collect()
-}
-
-/// The untraced run: repeats the job while time remains.
-pub fn measure(s: &Setup, seconds: f64, out: &mut Outcome) {
-    let mut jobs = Units::default();
-    jobs.repeat(seconds, |jobs| {
-        let before = out.attempted;
-        let timed = Timed::run(|| job(s, out, TIMED));
-        let values = (out.attempted - before) as f64;
-        jobs.add(timed.wall, timed.cpu, values, &timed.value);
-    });
-    jobs.report(out, Latency::PerUnit);
-}
-
-/// Replays the Table II rows, the figures' adder measurements.
-fn replay_table2(s: &Setup, rec: &mut MemoryRecorder) -> bool {
-    ex::TABLE2_CONFIGS.iter().all(|(duties, weights)| {
-        let case = AdderCase {
-            tech: &s.tech,
-            duties,
-            weights,
-            frequency: s.tech.frequency,
-            vdd: s.tech.vdd,
-            quality: &s.quality,
-        };
-        let r = replay::adder(&case, rec);
-        r.live_vout.to_bits() == r.replay_vout.to_bits()
-    })
-}
-
-/// The traced run: one untraced job, one traced job with a span per
-/// experiment, then the Table II replay for the layer split.
+/// Runs every experiment once, each in a span named after it, and checks
+/// every value it returns.
 pub fn trace(s: &Setup, out: &mut Outcome) {
-    let untraced = Timed::run(|| job(s, out, &EXPERIMENTS));
-    spans::install();
-    let traced = Timed::run(|| spans::span("job", None, || job(s, out, &EXPERIMENTS)));
-    let mut rec = MemoryRecorder::new();
-    let faithful = replay_table2(s, &mut rec);
-    out.check(faithful);
-    out.note("replay_bitwise", faithful);
-    let all = spans::take();
-    let totals = spans::totals(&all);
     for name in EXPERIMENTS {
-        let secs = totals.get(name).map_or(0.0, |t| t.total_ns as f64 * 1e-9);
-        out.metric(&format!("figures.{name}_s"), secs, 1);
+        for value in spans::span(name, None, || experiment(s, name)) {
+            out.check(matches(s, &value));
+        }
     }
-    let job_ns = totals["job"].total_ns as f64;
-    out.metric(
-        "trace.unattributed_pct",
-        100.0 * totals["job"].self_ns as f64 / job_ns,
-        1,
-    );
-    out.metric(
-        "trace.overhead_pct",
-        100.0 * (traced.wall - untraced.wall) / untraced.wall,
-        2,
-    );
-    let live_ns = totals.get("table2").map_or(0, |t| t.total_ns) as f64;
-    crate::report_replay(out, &totals, &rec, live_ns);
-    crate::write_spans(&all);
+}
+
+/// Reports each experiment's span time as `figures.<experiment>_s`.
+pub fn report(totals: &BTreeMap<&'static str, spans::Totals>, out: &mut Outcome) {
+    for name in EXPERIMENTS {
+        if let Some(t) = totals.get(name) {
+            out.metric(&format!("figures.{name}_s"), t.total_ns as f64 * 1e-9, 1);
+        }
+    }
 }
 
 /// Reference lines `name<TAB>value` of one seed: every value, or only the

@@ -2,7 +2,7 @@
 //! checks its outputs and prints one JSON result line.
 //!
 //! ```text
-//! perfbench --workload <figures|campaigns|serve_hotset|serve_uniform>
+//! perfbench --workload <campaigns|serve_hotset|serve_uniform>
 //!           --seed <n> --seconds <s> --trace <0|1> [--out <dir>]
 //! perfbench --record            # regenerate reference/*.tsv on stdout
 //! ```
@@ -35,13 +35,9 @@ pub const DEFAULT_SEED: u64 = 1;
 /// Seed held out from tuning; later claims are checked on it again.
 pub const HELD_OUT_SEED: u64 = 104_729;
 
-/// Set-up — everything a workload builds before its first measured
-/// operation (technology, fixtures, recorded outputs, streams, engine) —
-/// is repeated at least this often per run...
-const MIN_SETUPS: usize = 7;
-/// ...and for at least this long, so that a set-up of microseconds is
-/// timed on a CPU that has left its idle state.
-const MIN_SETUP_SECONDS: f64 = 0.05;
+/// Between two units, fresh set-ups are timed at least once and for at
+/// least this long.
+const SETUP_SECONDS: f64 = 0.02;
 
 /// Wall and CPU time of one call.
 pub struct Timed<T> {
@@ -69,13 +65,14 @@ impl<T> Timed<T> {
 }
 
 /// The units of a run — jobs, or passes over a stream — each repeating
-/// the same operations in the same order.
+/// the same operations in the same order, with fresh set-ups of the
+/// workload timed between them.
 ///
 /// On a shared VM one CPU's speed moves by tens of per cent from one
 /// second to the next while no steal is recorded. So each operation's
-/// latency is kept at its best over the units, and the run reports the
-/// composite: a unit in which every operation ran undisturbed.
-#[derive(Default)]
+/// latency, and the set-up's, is kept at its best over the whole run, and
+/// the run reports the composite: a unit in which every operation ran
+/// undisturbed.
 pub struct Units {
     walls: Vec<f64>,
     cpus: Vec<f64>,
@@ -86,18 +83,28 @@ pub struct Units {
     best_rest: f64,
     /// Peak resident set once set-up and the first unit are done, MiB.
     peak_rss: f64,
-}
-
-/// What a run's latency metrics describe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Latency {
-    /// Each timed operation (a query, a simulated fault).
-    PerOperation,
-    /// The whole unit: one job is one sample.
-    PerUnit,
+    /// Builds and drops a fresh set-up; returns its time in seconds.
+    setup: Box<dyn FnMut() -> f64>,
+    /// Set-up times, seconds.
+    setup_s: Vec<f64>,
 }
 
 impl Units {
+    /// A run whose process set up in `first_setup_s`; `setup` times one
+    /// more set-up.
+    pub fn new(first_setup_s: f64, setup: impl FnMut() -> f64 + 'static) -> Units {
+        Units {
+            walls: Vec::new(),
+            cpus: Vec::new(),
+            ops: 0.0,
+            best_us: Vec::new(),
+            best_rest: 0.0,
+            peak_rss: 0.0,
+            setup: Box::new(setup),
+            setup_s: vec![first_setup_s],
+        }
+    }
+
     /// Adds one unit: wall and CPU seconds, operations completed, and the
     /// latency in µs of each timed operation, in the same order as every
     /// other unit's.
@@ -130,50 +137,65 @@ impl Units {
     }
 
     /// Runs `unit`, which adds itself, at least once, and again while
-    /// another unit of median length still fits in `seconds`.
+    /// another unit of median length still fits in `seconds`. After each
+    /// unit, set-ups are timed for [`SETUP_SECONDS`].
     pub fn repeat(&mut self, seconds: f64, mut unit: impl FnMut(&mut Units)) {
         let start = Instant::now();
-        unit(self);
-        while start.elapsed().as_secs_f64() + stats::median(&self.walls) <= seconds {
+        loop {
             unit(self);
+            let setups = Instant::now();
+            loop {
+                let s = (self.setup)();
+                self.setup_s.push(s);
+                if setups.elapsed().as_secs_f64() >= SETUP_SECONDS {
+                    break;
+                }
+            }
+            if start.elapsed().as_secs_f64() + stats::median(&self.walls) > seconds {
+                break;
+            }
         }
     }
 
     /// Reports the end-to-end metrics of the composite unit. Its CPU time
     /// is its wall time times the run's CPU share (CPU over wall time,
     /// summed over units), which leaves out time spent waiting for a CPU.
-    pub fn report(&self, out: &mut Outcome, latency: Latency) {
+    /// The latency percentiles are taken over the operations' best
+    /// latencies, one sample per operation; the tail is p99, or the
+    /// highest percentile below it with ten samples beyond it.
+    pub fn report(&self, out: &mut Outcome) {
         let n = self.walls.len();
         let wall = self.best_us.iter().sum::<f64>() * 1e-6 + self.best_rest;
         let share = self.cpus.iter().sum::<f64>() / self.walls.iter().sum::<f64>();
+        let best_setup = self.setup_s.iter().copied().fold(f64::INFINITY, f64::min);
+        out.metric("setup_s", best_setup, self.setup_s.len());
         out.metric("peak_rss_mb", self.peak_rss, 1);
         out.metric("wall_s", wall, n);
         out.metric("cpu_s", wall * share, n);
         out.metric("throughput", self.ops / wall, n);
-        let mut sorted = match latency {
-            Latency::PerOperation => self.best_us.clone(),
-            Latency::PerUnit => vec![wall * 1e6],
-        };
+        let mut sorted = self.best_us.clone();
         sorted.sort_by(f64::total_cmp);
-        let timed = sorted.len() * n;
+        let tail = stats::tail(&sorted, 99.0).expect("a unit times at least 20 operations");
         out.metric(
             "latency_p50_us",
             stats::band_percentile(&sorted, 50.0),
-            timed,
+            sorted.len(),
         );
         out.metric(
             "latency_p99_us",
-            stats::band_percentile(&sorted, 99.0),
-            timed,
+            stats::band_percentile(&sorted, tail.percentile),
+            sorted.len(),
         );
-        if let Some(t) = stats::tail(&sorted) {
-            out.note(
-                "op_tail",
-                format!("p{} over {} operations", t.percentile, t.samples),
-            );
-        }
+        out.note(
+            "latency_tail",
+            format!("p{} over {} operations", tail.percentile, tail.samples),
+        );
         let walls: Vec<String> = self.walls.iter().map(|w| format!("{w:.3}")).collect();
         out.note("unit_walls_s", walls.join(" "));
+        out.note(
+            "setups_median_s",
+            format!("{:.3e}", stats::median(&self.setup_s)),
+        );
     }
 }
 
@@ -261,14 +283,13 @@ pub fn write_spans(all: &[spans::Span]) {
 }
 
 enum Workload {
-    Figures(figures::Setup),
     Campaigns(campaigns::Setup),
     Serve(serve::Setup),
 }
 
+/// Everything a workload builds before its first measured operation.
 fn setup(name: &str, seed: u64) -> Option<Workload> {
     Some(match name {
-        "figures" => Workload::Figures(figures::setup(seed)),
         "campaigns" => Workload::Campaigns(campaigns::setup()),
         "serve_hotset" => Workload::Serve(serve::setup(serve::Stream::Hotset, seed)),
         "serve_uniform" => Workload::Serve(serve::setup(serve::Stream::Uniform, seed)),
@@ -347,37 +368,38 @@ fn main() {
         return;
     }
     let _ = SPAN_DIR.set(args.out.clone());
-    // Set up several times, one workload alive at a time, and report the
-    // median: a single set-up of a few milliseconds moves with the host.
-    let Some(mut workload) = setup(&args.workload, args.seed) else {
+    let t0 = Instant::now();
+    let Some(workload) = setup(&args.workload, args.seed) else {
         eprintln!("perfbench: unknown workload '{}'", args.workload);
         std::process::exit(2);
     };
-    let mut setup_s = Vec::new();
-    let start = Instant::now();
-    while setup_s.len() < MIN_SETUPS || start.elapsed().as_secs_f64() < MIN_SETUP_SECONDS {
-        drop(workload);
-        let t0 = Instant::now();
-        workload = setup(&args.workload, args.seed).expect("the workload exists");
-        setup_s.push(t0.elapsed().as_secs_f64());
-    }
+    let first_setup_s = t0.elapsed().as_secs_f64();
     let mut out = Outcome::default();
-    if !args.trace {
-        out.metric("setup_s", stats::median(&setup_s), setup_s.len());
-    }
-    match (&workload, args.trace) {
-        (Workload::Figures(s), false) => figures::measure(s, args.seconds, &mut out),
-        (Workload::Figures(s), true) => figures::trace(s, &mut out),
-        (Workload::Campaigns(s), false) => campaigns::measure(s, args.seconds, &mut out),
-        (Workload::Campaigns(s), true) => campaigns::trace(s, &mut out),
-        (Workload::Serve(s), false) => serve::measure(s, args.seconds, &mut out),
-        (Workload::Serve(s), true) => serve::trace(s, &mut out),
+    if args.trace {
+        match &workload {
+            Workload::Campaigns(s) => {
+                campaigns::trace(s, &figures::setup(args.seed), &mut out);
+            }
+            Workload::Serve(s) => serve::trace(s, &mut out),
+        }
+        out.count("sweep.workers", host::sweep_workers() as u64);
+        out.zero_unmeasured_layers();
+    } else {
+        let (name, seed) = (args.workload.clone(), args.seed);
+        let mut units = Units::new(first_setup_s, move || {
+            let t0 = Instant::now();
+            let fresh = setup(&name, seed);
+            let s = t0.elapsed().as_secs_f64();
+            drop(fresh);
+            s
+        });
+        match &workload {
+            Workload::Campaigns(s) => campaigns::measure(s, args.seconds, &mut units, &mut out),
+            Workload::Serve(s) => serve::measure(s, args.seconds, &mut units, &mut out),
+        }
+        units.report(&mut out);
     }
     out.note("sweep_workers", host::sweep_workers());
     out.note("end_peak_rss_mb", host::peak_rss_mib());
-    if args.trace {
-        out.count("sweep.workers", host::sweep_workers() as u64);
-        out.zero_unmeasured_layers();
-    }
     println!("{}", out.to_json(&args.workload, args.seed, args.trace));
 }

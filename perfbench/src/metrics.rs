@@ -234,7 +234,7 @@ mod tests {
         o.metric("wall_s", 1.5, 3);
         o.check(true);
         o.check(false);
-        let line = o.to_json("figures", 1, false);
+        let line = o.to_json("campaigns", 1, false);
         assert!(line.contains("\"wall_s\":{\"value\":1.5,\"unit\":\"s\",\"samples\":3}"));
         assert!(line.contains("\"attempted\":2,\"failed\":1"));
     }

@@ -45,16 +45,17 @@ pub fn band_percentile(sorted: &[f64], p: f64) -> f64 {
     band.iter().sum::<f64>() / band.len() as f64
 }
 
-/// The highest percentile of [`LADDER`] with at least [`TAIL_SUPPORT`]
-/// samples strictly above its rank, or `None` when even the median lacks
-/// that support.
-pub fn tail(samples: &[f64]) -> Option<Tail> {
+/// The highest percentile of [`LADDER`], up to `at_most`, with at least
+/// [`TAIL_SUPPORT`] samples strictly above its rank, or `None` when even
+/// the median lacks that support.
+pub fn tail(samples: &[f64], at_most: f64) -> Option<Tail> {
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
     let n = sorted.len();
     LADDER
         .iter()
         .rev()
+        .filter(|&&p| p <= at_most)
         .find(|&&p| {
             let rank = ((p / 100.0) * n as f64).ceil() as usize;
             n >= rank + TAIL_SUPPORT && rank >= 1
@@ -90,37 +91,39 @@ mod tests {
     #[test]
     fn tail_is_the_highest_percentile_with_ten_samples_beyond() {
         let xs: Vec<f64> = (1..=1000).map(f64::from).collect();
-        let t = tail(&xs).expect("1000 samples support p99");
+        let t = tail(&xs, 100.0).expect("1000 samples support p99");
         assert_eq!(t.percentile, 99.0);
         assert_eq!(t.value, 990.0);
         assert_eq!(t.samples, 1000);
         assert_eq!(xs.iter().filter(|&&x| x > t.value).count(), 10);
 
         // One sample fewer leaves only nine beyond p99: p90 is reported.
-        let t = tail(&xs[..999]).expect("999 samples support p90");
+        let t = tail(&xs[..999], 100.0).expect("999 samples support p90");
         assert_eq!(t.percentile, 90.0);
         assert_eq!(t.samples, 999);
 
-        let t = tail(&xs[..100]).expect("100 samples support p90");
+        // A simulated-fault set of 204: p99 has two beyond it, p90 twenty.
+        let t = tail(&xs[..204], 99.0).expect("204 samples support p90");
         assert_eq!(t.percentile, 90.0);
-        assert_eq!(t.value, 90.0);
+        assert_eq!(t.samples, 204);
     }
 
     #[test]
-    fn tail_of_a_large_set_climbs_the_ladder() {
+    fn tail_of_a_large_set_climbs_the_ladder_up_to_its_ceiling() {
         let xs: Vec<f64> = (0..100_000).map(f64::from).collect();
-        let t = tail(&xs).expect("support");
+        let t = tail(&xs, 100.0).expect("support");
         assert_eq!(t.percentile, 99.99);
         assert!(xs.iter().filter(|&&x| x > t.value).count() >= TAIL_SUPPORT);
+        assert_eq!(tail(&xs, 99.0).map(|t| t.percentile), Some(99.0));
     }
 
     #[test]
     fn tail_needs_support_for_the_median() {
-        assert_eq!(tail(&[]), None);
+        assert_eq!(tail(&[], 100.0), None);
         let xs: Vec<f64> = (0..19).map(f64::from).collect();
-        assert_eq!(tail(&xs), None);
+        assert_eq!(tail(&xs, 100.0), None);
         let xs: Vec<f64> = (0..20).map(f64::from).collect();
-        assert_eq!(tail(&xs).map(|t| t.percentile), Some(50.0));
+        assert_eq!(tail(&xs, 100.0).map(|t| t.percentile), Some(50.0));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Seeded serve streams. The program receives only the generated queries.
 
+use bench::serve::{hotset_stream, uniform_stream, ServeConfig};
 use pwm_perceptron::prelude::{DutyCycle, Query, WeightVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,15 +24,6 @@ pub const UNIFORM_QUERIES: usize = 1 << 18;
 
 fn weights(w: &[u32]) -> WeightVector {
     WeightVector::new(w.to_vec(), 3).expect("3-bit weights are valid")
-}
-
-/// The hot-set stream's weight pool: three Table II rows, as in
-/// `repro serve`.
-fn table2_pool() -> Vec<WeightVector> {
-    [[7u32, 7, 7], [1, 2, 4], [7, 3, 4]]
-        .iter()
-        .map(|w| weights(w))
-        .collect()
 }
 
 /// The uniform stream's weight pool: every vector of odd 3-bit weights.
@@ -70,28 +62,33 @@ pub fn uniform(seed: u64, n: usize) -> Vec<Query> {
 }
 
 /// The hot-set stream of `repro serve` (32 hot pairs, p = 0.95, 16-level
-/// grid, Table II weight pool), stratified: exactly `round(p·n)` queries
-/// repeat a hot pair and the rest are fresh draws, at shuffled positions.
-/// A Bernoulli draw per query would let the miss count, and with it the
-/// pass time, move by a few per cent from seed to seed.
+/// grid, Table II weight pool), stratified. Its hot repeats come from
+/// `bench::serve::hotset_stream` with every query drawn from the hot set,
+/// its fresh draws from `bench::serve::uniform_stream`, both under `seed`;
+/// exactly `round(p·n)` of the `n` queries are hot, at seeded positions.
+/// `hotset_stream` itself draws hot or fresh per query, which moves the
+/// miss count, and with it the pass time, from seed to seed.
 pub fn hotset(seed: u64, n: usize) -> Vec<Query> {
-    let pool = table2_pool();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_0002);
-    let hot: Vec<Query> = (0..HOT_SET).map(|_| grid_query(&mut rng, &pool)).collect();
     let n_hot = (HOT_PROB * n as f64).round() as usize;
+    let config = |queries, hot_prob| ServeConfig {
+        queries,
+        seed,
+        resolution: RESOLUTION,
+        hot_set: HOT_SET,
+        hot_prob,
+        ..ServeConfig::default()
+    };
+    let mut hot = hotset_stream(&config(n_hot, 1.0)).into_iter();
+    let mut fresh = uniform_stream(&config(n - n_hot, HOT_PROB)).into_iter();
     let mut is_hot: Vec<bool> = (0..n).map(|i| i < n_hot).collect();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_0002);
     for i in (1..n).rev() {
         is_hot.swap(i, rng.gen_range(0..=i));
     }
     is_hot
         .into_iter()
-        .map(|h| {
-            if h {
-                hot[rng.gen_range(0..HOT_SET)].clone()
-            } else {
-                grid_query(&mut rng, &pool)
-            }
-        })
+        .map(|h| if h { hot.next() } else { fresh.next() })
+        .map(|q| q.expect("one query per position"))
         .collect()
 }
 
@@ -133,6 +130,40 @@ mod tests {
         // more distinct keys than the cache can hold.
         let distinct: HashSet<Key> = uniform(1, UNIFORM_QUERIES).iter().map(key).collect();
         assert!(distinct.len() > 2 * CACHE_CAPACITY, "{}", distinct.len());
+    }
+
+    /// Distinct keys of a stream: the misses of a pass on a fresh engine.
+    fn misses(stream: &[Query]) -> usize {
+        stream.iter().map(key).collect::<HashSet<Key>>().len()
+    }
+
+    #[test]
+    fn stratified_hotset_holds_its_miss_count_across_seeds() {
+        let range = |counts: Vec<usize>| {
+            let (lo, hi) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+            (hi - lo) as f64 / *lo as f64
+        };
+        let seeds = 1..=10u64;
+        let stratified = range(
+            seeds
+                .clone()
+                .map(|s| misses(&hotset(s, HOTSET_QUERIES)))
+                .collect(),
+        );
+        let bernoulli = range(
+            seeds
+                .map(|seed| {
+                    let config = ServeConfig {
+                        queries: HOTSET_QUERIES,
+                        seed,
+                        ..ServeConfig::default()
+                    };
+                    misses(&hotset_stream(&config))
+                })
+                .collect(),
+        );
+        assert!(stratified < 0.05, "{stratified}");
+        assert!(bernoulli > 3.0 * stratified, "{bernoulli} vs {stratified}");
     }
 
     #[test]

@@ -1521,13 +1521,14 @@ fn serve(queries: Option<usize>, fast: bool) {
     println!("serve: all acceptance gates passed");
 }
 
-/// Deterministic fault-injection harness for the resilient inference
-/// engine: serves a baseline (1 % faults) and a storm (60 % faults,
-/// breaker-tripping) stream through a chaos-wrapped switch tier on a
-/// manual clock, cross-checks every answer against a chaos-free
-/// reference, merges the `chaos` section into `results/BENCH_mssim.json`
-/// and fails on any acceptance-gate violation (availability < 99.9 %,
-/// panics, out-of-bound degraded answers, classification divergences).
+/// Deterministic fault-injection harness for the inference engine's
+/// demotion ladder: serves a baseline (1 % faults) and a storm (60 %
+/// faults) stream through a chaos-wrapped switch tier, cross-checks every
+/// answer against a chaos-free reference, merges the `chaos` section into
+/// `results/BENCH_mssim.json` and fails on any acceptance-gate violation
+/// (availability < 99.9 %, panics, out-of-bound degraded answers,
+/// classification divergences, degraded answers that do not match the
+/// injected faults one for one).
 fn chaos(queries: Option<usize>, fast: bool) {
     use bench::chaos as ch;
 
@@ -1538,14 +1539,10 @@ fn chaos(queries: Option<usize>, fast: bool) {
     if let Some(q) = queries {
         config.queries = q;
     }
-    println!("\n== Chaos — resilience harness for the inference engine ==");
+    println!("\n== Chaos — fault injection against the demotion ladder ==");
     println!(
-        "{} queries/stream, duty grid {} levels, deadline {} ms, spike {} ms, seed {:#x}",
-        config.queries,
-        config.resolution,
-        config.deadline_ns / 1_000_000,
-        config.spike_ns / 1_000_000,
-        config.seed
+        "{} queries/stream, duty grid {} levels, seed {:#x}",
+        config.queries, config.resolution, config.seed
     );
 
     // The harness deliberately poisons cache shards by panicking inside
@@ -1578,10 +1575,9 @@ fn chaos(queries: Option<usize>, fast: bool) {
             format!("{:.2}", s.availability * 100.0),
             format!("{:.2}", s.batch_availability * 100.0),
             f(s.degraded_rate * 100.0, 1),
+            format!("{}", s.degraded),
+            format!("{}", s.injected_fail + s.injected_nan),
             f(s.max_degraded_error_v * 1e3, 1),
-            format!("{}", s.retries),
-            format!("{}", s.breaker_trips),
-            format!("{}", s.deadline_exceeded),
             format!("{}/{}", s.lock_poisoned, s.poison_injected),
         ]
     };
@@ -1592,10 +1588,9 @@ fn chaos(queries: Option<usize>, fast: bool) {
         "avail %",
         "batch %",
         "degr %",
+        "degraded",
+        "injected",
         "max err mV",
-        "retries",
-        "trips",
-        "deadline",
         "poison r/i",
     ];
     println!(
@@ -1607,13 +1602,11 @@ fn chaos(queries: Option<usize>, fast: bool) {
         )
     );
     println!(
-        "injected per stream (fail/nan/spike): baseline {}/{}/{}, storm {}/{}/{}",
+        "injected per stream (fail/nan): baseline {}/{}, storm {}/{}",
         report.baseline.injected_fail,
         report.baseline.injected_nan,
-        report.baseline.injected_spike,
         report.storm.injected_fail,
         report.storm.injected_nan,
-        report.storm.injected_spike,
     );
 
     let path = results_dir().join("BENCH_mssim.json");

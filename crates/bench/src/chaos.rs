@@ -1,30 +1,27 @@
 //! `repro chaos` — deterministic fault-injection harness for the
-//! resilient inference engine.
+//! inference engine's demotion ladder.
 //!
 //! Serves seeded query streams through an [`InferenceEngine`] whose
 //! switch-level tier is wrapped in a [`ChaosEvaluator`] injecting
-//! non-convergence, NaN outputs and latency spikes on a schedule that is
-//! a pure function of `(seed, call index)`. Time is a shared
-//! [`ManualClock`], so deadline expiries, breaker cooldowns and retry
-//! backoffs replay identically on every run — the whole
-//! [`ChaosReport`] is bitwise-reproducible for a given
-//! [`ChaosHarnessConfig`].
+//! non-convergence and NaN outputs on a schedule that is a pure function
+//! of `(seed, call index)`, so the whole [`ChaosReport`] is
+//! bitwise-reproducible for a given [`ChaosHarnessConfig`].
 //!
 //! Two streams run per invocation:
 //!
 //! * **baseline** — the acceptance stream: 1 % forced non-convergence
-//!   plus rare NaNs and deadline-busting latency spikes. Gates:
-//!   availability ≥ 99.9 %, zero panics, zero degraded answers outside
-//!   their certified bound, zero classification divergences on
-//!   full-fidelity answers.
-//! * **storm** — a 60 % fault rate that must trip the per-tier circuit
-//!   breaker; serving sheds to the analytic tier (flagged `degraded`)
-//!   instead of erroring, so the same availability gates hold.
+//!   plus rare NaNs.
+//! * **storm** — 60 % forced non-convergence plus 5 % NaNs.
 //!
-//! Every degraded answer is checked against a chaos-free reference
+//! Every injected fault demotes its query to the analytic tier, which
+//! serves it flagged `degraded`, so both streams must keep: availability
+//! ≥ 99.9 %, zero panics, zero degraded answers outside their certified
+//! bound, zero classification divergences on full-fidelity answers, and
+//! exactly one degraded answer per injected fault in the single-query
+//! pass. Every degraded answer is checked against a chaos-free reference
 //! engine of identical configuration; cache-shard poisoning is injected
-//! at intervals and must be recovered (counted, never fatal). The
-//! results land in the `chaos` section of `BENCH_mssim.json`, gated by
+//! at intervals and must be recovered (counted, never fatal). The results
+//! land in the `chaos` section of `BENCH_mssim.json`, gated by
 //! `bench_compare` in CI.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,8 +31,8 @@ use pwm_perceptron::prelude::*;
 
 use crate::serve::{serve_tech, uniform_stream, ServeConfig};
 
-/// Chaos-harness knobs. Everything that feeds the injection schedule or
-/// the clock lives here, so two runs with equal configs produce equal
+/// Chaos-harness knobs. Everything that feeds the injection schedule
+/// lives here, so two runs with equal configs produce equal
 /// [`ChaosReport`]s.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosHarnessConfig {
@@ -45,13 +42,6 @@ pub struct ChaosHarnessConfig {
     pub seed: u64,
     /// Memo-cache duty resolution (levels).
     pub resolution: u32,
-    /// Latency-spike magnitude, nanoseconds (must exceed the deadline to
-    /// force timeout demotions).
-    pub spike_ns: u64,
-    /// Per-query deadline budget, nanoseconds.
-    pub deadline_ns: u64,
-    /// Manual-clock advance between queries, nanoseconds.
-    pub step_ns: u64,
     /// Poison one cache shard every this many queries (0 = never).
     pub poison_every: usize,
 }
@@ -62,9 +52,6 @@ impl Default for ChaosHarnessConfig {
             queries: 2_000,
             seed: 0xC4405,
             resolution: 16,
-            spike_ns: 100_000_000, // 100 ms — blows the 50 ms deadline
-            deadline_ns: 50_000_000,
-            step_ns: 1_000_000, // 1 ms of simulated time per query
             poison_every: 251,
         }
     }
@@ -79,29 +66,24 @@ pub struct FaultMix {
     pub fail_rate: f64,
     /// NaN-output probability per evaluator call.
     pub nan_rate: f64,
-    /// Latency-spike probability per evaluator call.
-    pub spike_rate: f64,
 }
 
-/// The acceptance mix: ISSUE-mandated 1 % circuit-tier fault rate plus
-/// rare NaNs and spikes.
+/// The acceptance mix: a 1 % tier fault rate plus rare NaNs.
 pub fn baseline_mix() -> FaultMix {
     FaultMix {
         stream: "baseline",
         fail_rate: 0.01,
         nan_rate: 0.002,
-        spike_rate: 0.002,
     }
 }
 
-/// The breaker-tripping mix: a majority of calls fail, so the rolling
-/// failure-rate window must open the breaker and serving must shed.
+/// The storm mix: a majority of calls fail, so most misses are served
+/// by the analytic tier.
 pub fn storm_mix() -> FaultMix {
     FaultMix {
         stream: "storm",
         fail_rate: 0.60,
         nan_rate: 0.05,
-        spike_rate: 0.01,
     }
 }
 
@@ -130,14 +112,8 @@ pub struct ChaosStreamReport {
     pub divergences: usize,
     /// Panics that escaped the serving path.
     pub panics: usize,
-    /// Retries performed by the resilience ladder.
-    pub retries: u64,
     /// Ladder demotions.
     pub demotions: u64,
-    /// Deadline expiries.
-    pub deadline_exceeded: u64,
-    /// Circuit-breaker trips.
-    pub breaker_trips: u64,
     /// Poisoned cache shards recovered by the engine.
     pub lock_poisoned: u64,
     /// Cache-shard poisonings injected by the harness.
@@ -146,8 +122,6 @@ pub struct ChaosStreamReport {
     pub injected_fail: u64,
     /// NaN faults injected.
     pub injected_nan: u64,
-    /// Latency spikes injected.
-    pub injected_spike: u64,
     /// Fraction of queries answered `Ok` by a fresh batched pass over
     /// the same stream.
     pub batch_availability: f64,
@@ -163,8 +137,6 @@ pub struct FaultMixRates {
     pub fail: f64,
     /// NaN-output probability.
     pub nan: f64,
-    /// Latency-spike probability.
-    pub spike: f64,
 }
 
 /// Full `repro chaos` result.
@@ -172,7 +144,7 @@ pub struct FaultMixRates {
 pub struct ChaosReport {
     /// The 1 % acceptance stream.
     pub baseline: ChaosStreamReport,
-    /// The breaker-tripping storm stream.
+    /// The 60 % storm stream.
     pub storm: ChaosStreamReport,
 }
 
@@ -217,9 +189,19 @@ impl ChaosReport {
                     s.stream, s.poison_injected
                 ));
             }
+            // Each injected fault fails one tier call, which the ladder
+            // must answer from the analytic tier: one degraded answer per
+            // fault, and none without one.
+            let injected = s.injected_fail + s.injected_nan;
+            if s.degraded as u64 != injected {
+                v.push(format!(
+                    "{}: {} degraded answer(s) for {} injected fault(s)",
+                    s.stream, s.degraded, injected
+                ));
+            }
         }
-        if self.storm.breaker_trips == 0 {
-            v.push("storm: breaker never tripped — the storm is not a storm".to_string());
+        if self.storm.injected_fail + self.storm.injected_nan == 0 {
+            v.push("storm: no fault injected — the storm is not a storm".to_string());
         }
         v
     }
@@ -267,41 +249,27 @@ impl pwm_perceptron::Evaluator for SharedChaos {
 struct StreamRig {
     engine: InferenceEngine,
     chaos: Arc<ChaosEvaluator<SwitchLevelEvaluator>>,
-    clock: Arc<ManualClock>,
 }
 
 fn rig(config: &ChaosHarnessConfig, mix: &FaultMix, salt: u64) -> StreamRig {
     let tech = serve_tech();
-    let clock = Arc::new(ManualClock::new());
-    let chaos = Arc::new(ChaosEvaluator::with_clock(
+    let chaos = Arc::new(ChaosEvaluator::new(
         SwitchLevelEvaluator::new(tech.clone()),
         ChaosConfig {
             seed: config.seed ^ salt,
             fail_rate: mix.fail_rate,
             nan_rate: mix.nan_rate,
-            spike_rate: mix.spike_rate,
-            spike_ns: config.spike_ns,
         },
-        clock.clone(),
     ));
-    let policy = ResiliencePolicy::new()
-        .with_attempts(2)
-        .with_backoff_ns(1_000_000)
-        .with_deadline_ns(config.deadline_ns);
     let engine = InferenceEngine::new(tech.vdd)
         .with_switch_tier(SharedChaos(chaos.clone()))
         .with_policy(TierPolicy::switch_level())
-        .with_cache(config.resolution, 1 << 16)
-        .with_resilience_clock(policy, clock.clone());
-    StreamRig {
-        engine,
-        chaos,
-        clock,
-    }
+        .with_cache(config.resolution, 1 << 16);
+    StreamRig { engine, chaos }
 }
 
 /// The chaos-free reference: identical tiers, policy and cache, no
-/// injection and no resilience (a fault here is a harness bug).
+/// injection (a fault here is a harness bug).
 fn reference_engine(config: &ChaosHarnessConfig) -> InferenceEngine {
     let tech = serve_tech();
     InferenceEngine::new(tech.vdd)
@@ -378,7 +346,6 @@ fn run_stream(
                 }
             }
         }
-        r.clock.advance(config.step_ns);
     }
     // Touch every shard so outstanding poisonings are recovered and
     // counted before the report snapshot.
@@ -386,11 +353,10 @@ fn run_stream(
         let _ = cache.len();
     }
     let report = r.engine.report();
-    let stats = report.resil;
-    let [injected_fail, injected_nan, injected_spike] = r.chaos.injected();
+    let [injected_fail, injected_nan] = r.chaos.injected();
 
     // Fresh rig for the batched pass: same schedule seed, fresh call
-    // counter, fresh breakers.
+    // counter, cold cache.
     let batch_rig = rig(config, mix, salt);
     let mut batch_ok = 0usize;
     let mut batch_degraded = 0usize;
@@ -412,7 +378,6 @@ fn run_stream(
         mix: FaultMixRates {
             fail: mix.fail_rate,
             nan: mix.nan_rate,
-            spike: mix.spike_rate,
         },
         queries: stream.len(),
         availability: ok as f64 / n as f64,
@@ -422,15 +387,11 @@ fn run_stream(
         bound_violations,
         divergences,
         panics,
-        retries: stats.retries,
-        demotions: stats.demotions,
-        deadline_exceeded: stats.deadline_exceeded,
-        breaker_trips: stats.breaker_trips,
+        demotions: report.resil.demotions,
         lock_poisoned: report.cache.lock_poisoned,
         poison_injected,
         injected_fail,
         injected_nan,
-        injected_spike,
         batch_availability: batch_ok as f64 / n as f64,
         batch_degraded,
     }
@@ -455,11 +416,10 @@ pub fn run(config: &ChaosHarnessConfig) -> ChaosReport {
 pub fn to_json(report: &ChaosReport, config: &ChaosHarnessConfig) -> String {
     let stream_json = |s: &ChaosStreamReport| {
         format!(
-            "      {{\n        \"stream\": \"{}\",\n        \"fail_rate\": {:.4},\n        \"nan_rate\": {:.4},\n        \"spike_rate\": {:.4},\n        \"queries\": {},\n        \"availability\": {:.6},\n        \"degraded\": {},\n        \"degraded_rate\": {:.6},\n        \"max_degraded_error_v\": {:.6},\n        \"bound_violations\": {},\n        \"divergences\": {},\n        \"panics\": {},\n        \"retries\": {},\n        \"demotions\": {},\n        \"deadline_exceeded\": {},\n        \"breaker_trips\": {},\n        \"lock_poisoned\": {},\n        \"poison_injected\": {},\n        \"injected_fail\": {},\n        \"injected_nan\": {},\n        \"injected_spike\": {},\n        \"batch_availability\": {:.6},\n        \"batch_degraded\": {}\n      }}",
+            "      {{\n        \"stream\": \"{}\",\n        \"fail_rate\": {:.4},\n        \"nan_rate\": {:.4},\n        \"queries\": {},\n        \"availability\": {:.6},\n        \"degraded\": {},\n        \"degraded_rate\": {:.6},\n        \"max_degraded_error_v\": {:.6},\n        \"bound_violations\": {},\n        \"divergences\": {},\n        \"panics\": {},\n        \"demotions\": {},\n        \"lock_poisoned\": {},\n        \"poison_injected\": {},\n        \"injected_fail\": {},\n        \"injected_nan\": {},\n        \"batch_availability\": {:.6},\n        \"batch_degraded\": {}\n      }}",
             s.stream,
             s.mix.fail,
             s.mix.nan,
-            s.mix.spike,
             s.queries,
             s.availability,
             s.degraded,
@@ -468,27 +428,20 @@ pub fn to_json(report: &ChaosReport, config: &ChaosHarnessConfig) -> String {
             s.bound_violations,
             s.divergences,
             s.panics,
-            s.retries,
             s.demotions,
-            s.deadline_exceeded,
-            s.breaker_trips,
             s.lock_poisoned,
             s.poison_injected,
             s.injected_fail,
             s.injected_nan,
-            s.injected_spike,
             s.batch_availability,
             s.batch_degraded,
         )
     };
     format!(
-        "  \"chaos\": {{\n    \"queries\": {},\n    \"seed\": {},\n    \"resolution\": {},\n    \"spike_ns\": {},\n    \"deadline_ns\": {},\n    \"step_ns\": {},\n    \"poison_every\": {},\n    \"streams\": [\n{},\n{}\n    ]\n  }}",
+        "  \"chaos\": {{\n    \"queries\": {},\n    \"seed\": {},\n    \"resolution\": {},\n    \"poison_every\": {},\n    \"streams\": [\n{},\n{}\n    ]\n  }}",
         config.queries,
         config.seed,
         config.resolution,
-        config.spike_ns,
-        config.deadline_ns,
-        config.step_ns,
         config.poison_every,
         stream_json(&report.baseline),
         stream_json(&report.storm),
@@ -535,11 +488,14 @@ mod tests {
         assert!(violations.is_empty(), "gate violations: {violations:?}");
         assert!(report.baseline.availability >= 0.999);
         assert!(report.baseline.injected_fail > 0, "faults were injected");
-        assert!(
-            report.storm.breaker_trips >= 1,
-            "the storm must trip the breaker"
-        );
-        assert!(report.storm.degraded > 0, "storm serving degrades");
+        for s in [&report.baseline, &report.storm] {
+            assert_eq!(
+                s.degraded as u64,
+                s.injected_fail + s.injected_nan,
+                "{}: one degraded answer per injected fault",
+                s.stream
+            );
+        }
     }
 
     #[test]
@@ -550,8 +506,8 @@ mod tests {
             ..tiny()
         });
         assert_ne!(
-            (a.baseline.injected_fail, a.baseline.retries),
-            (b.baseline.injected_fail, b.baseline.retries),
+            (a.storm.injected_fail, a.storm.injected_nan),
+            (b.storm.injected_fail, b.storm.injected_nan),
         );
     }
 

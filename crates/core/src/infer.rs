@@ -19,14 +19,12 @@
 //! * [`InferenceEngine`] — tiered dispatch (analytic fast path, escalating
 //!   to switch-level / transistor tiers only when the tolerance demands
 //!   it) over the cache, with per-tier counts in the report.
-//! * Resilient serving (see [`crate::resilience`]) — with a
-//!   [`ResiliencePolicy`] installed, each query gets a deadline and
-//!   per-tier attempt budget; failures, timeouts and open circuit
-//!   breakers walk a demotion ladder (Circuit → SwitchLevel → Analytic)
-//!   and the next-cheaper tier's answer is served flagged
-//!   [`Eval::degraded`] with its certified error bound instead of
-//!   returning an error — the serving-layer analogue of the paper's
-//!   graceful degradation under supply droop.
+//! * The demotion ladder (see [`crate::resilience`]) — a query whose tier
+//!   fails transiently is answered by the next-cheaper tier (Circuit →
+//!   SwitchLevel → Analytic), flagged [`Eval::degraded`] with that tier's
+//!   certified error bound instead of returning an error — the
+//!   serving-layer analogue of the paper's graceful degradation under
+//!   supply droop.
 //!
 //! The engine itself implements [`Evaluator`], so every consumer that is
 //! generic over the trait ([`crate::PwmPerceptron`], [`crate::HardLayer`],
@@ -39,7 +37,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use mssim::prelude::Volts;
 use mssim::telemetry::{dispatch, Event, Observer};
@@ -47,10 +45,7 @@ use mssim::telemetry::{dispatch, Event, Observer};
 use crate::duty::DutyCycle;
 use crate::error::CoreError;
 use crate::eval::{AnalyticEvaluator, Evaluator};
-use crate::resilience::{
-    BreakerState, BreakerTransition, Clock, DegradeReason, MonotonicClock, ResilStats,
-    ResiliencePolicy, ResilienceState,
-};
+use crate::resilience::ResilStats;
 use crate::weight::WeightVector;
 
 /// Fidelity tier of an evaluation.
@@ -266,8 +261,9 @@ impl Default for TierPolicy {
     }
 }
 
-/// Cache key: duty indices on the `resolution`-level grid plus the exact
-/// weight vector and producing tier. Weights are part of the key, so a
+/// Cache key: duty indices on the `resolution`-level grid (at most
+/// 65 536 levels, so an index fits a `u16`) plus the exact weight vector
+/// and producing tier. Weights are part of the key, so a
 /// weight mutation can never be served a stale entry — it simply misses.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
@@ -336,9 +332,12 @@ impl MemoCache {
     ///
     /// # Panics
     ///
-    /// Panics if `resolution < 2` or `capacity == 0`.
+    /// Panics if `resolution < 2`, if `resolution > 65_536` (level
+    /// indices are keyed as `u16`, so finer grids would collide) or if
+    /// `capacity == 0`.
     pub fn new(resolution: u32, capacity: usize) -> Self {
         assert!(resolution >= 2, "need at least two duty levels");
+        assert!(resolution <= 1 << 16, "at most 65536 duty levels");
         assert!(capacity > 0, "capacity must be positive");
         MemoCache {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
@@ -484,7 +483,7 @@ pub struct InferReport {
     pub tier_evals: [u64; 3],
     /// Cache counters (zeroed when no cache is configured).
     pub cache: CacheStats,
-    /// Resilience counters (zeroed when no policy is installed).
+    /// Demotion-ladder counters.
     pub resil: ResilStats,
 }
 
@@ -495,45 +494,31 @@ impl InferReport {
     }
 }
 
-/// What one tier's attempt budget concluded.
-enum TierVerdict {
-    /// The tier answered (possibly from cache).
-    Answered(Eval),
-    /// Walk down the ladder for this reason, keeping the error (if any)
-    /// in case the ladder bottoms out.
-    Demote(DegradeReason, Option<CoreError>),
-    /// A structural error retries cannot help (bad dimensions etc.).
-    Fatal(CoreError),
-}
-
 fn emit_event(observer: &mut Option<&mut dyn Observer>, event: &Event) {
     if let Some(obs) = observer {
         dispatch(&mut **obs, event);
     }
 }
 
-fn emit_counter(observer: &mut Option<&mut dyn Observer>, name: &'static str, delta: u64) {
-    if let Some(obs) = observer {
-        obs.counter(name, delta);
+/// Whether an evaluator error is transient (solver trouble), so the
+/// next-cheaper tier may answer, as opposed to structural (bad query).
+fn transient(err: &CoreError) -> bool {
+    matches!(err, CoreError::Simulation(_) | CoreError::Internal { .. })
+}
+
+/// Whether a tier's outcome walks the query down the ladder: a transient
+/// error or a non-finite answer.
+fn demotes(outcome: &Result<Eval, CoreError>) -> bool {
+    match outcome {
+        Ok(eval) => !eval.vout.value().is_finite(),
+        Err(err) => transient(err),
     }
 }
 
-fn emit_trip(tier: Tier, t: &BreakerTransition, observer: &mut Option<&mut dyn Observer>) {
-    emit_event(
-        observer,
-        &Event::ResilienceTrip {
-            tier: tier.name(),
-            from: t.from.name(),
-            to: t.to.name(),
-            failure_rate: t.failure_rate,
-        },
-    );
-}
-
-/// Whether an evaluator error is worth retrying (transient solver
-/// trouble) as opposed to structural (bad query).
-fn retryable(err: &CoreError) -> bool {
-    matches!(err, CoreError::Simulation(_) | CoreError::Internal { .. })
+fn non_finite() -> CoreError {
+    CoreError::Internal {
+        reason: "evaluator produced a non-finite output",
+    }
 }
 
 /// Tiered, memoized, batched dispatch over the evaluator stack.
@@ -551,8 +536,8 @@ fn retryable(err: &CoreError) -> bool {
 /// streams are expected to live on the grid already — quantization is
 /// then the identity) and answered from the cache when possible.
 ///
-/// With [`InferenceEngine::with_resilience`], tier failures walk the
-/// demotion ladder instead of erroring — see [`crate::resilience`].
+/// A transient failure at the resolved tier walks the demotion ladder
+/// instead of erroring — see [`crate::resilience`].
 ///
 /// # Examples
 ///
@@ -575,9 +560,10 @@ pub struct InferenceEngine {
     circuit: Option<Box<dyn Evaluator + Send + Sync>>,
     policy: TierPolicy,
     cache: Option<MemoCache>,
-    resilience: Option<ResilienceState>,
     queries: AtomicU64,
     tier_evals: [AtomicU64; 3],
+    demotions: AtomicU64,
+    degraded_served: AtomicU64,
 }
 
 impl fmt::Debug for InferenceEngine {
@@ -588,7 +574,6 @@ impl fmt::Debug for InferenceEngine {
             .field("circuit", &self.circuit.as_ref().map(|_| "dyn Evaluator"))
             .field("policy", &self.policy)
             .field("cache", &self.cache)
-            .field("resilient", &self.resilience.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -602,9 +587,10 @@ impl InferenceEngine {
             circuit: None,
             policy: TierPolicy::default(),
             cache: None,
-            resilience: None,
             queries: AtomicU64::new(0),
             tier_evals: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+            demotions: AtomicU64::new(0),
+            degraded_served: AtomicU64::new(0),
         }
     }
 
@@ -642,24 +628,6 @@ impl InferenceEngine {
         self
     }
 
-    /// Installs a resilience policy on wall-clock time: retry budgets,
-    /// deadlines, per-tier circuit breakers and the demotion ladder.
-    pub fn with_resilience(self, policy: ResiliencePolicy) -> Self {
-        self.with_resilience_clock(policy, Arc::new(MonotonicClock::new()))
-    }
-
-    /// [`InferenceEngine::with_resilience`] on an injected clock — tests
-    /// and the chaos harness use a [`crate::resilience::ManualClock`] so
-    /// deadline expiry and breaker cooldowns are deterministic.
-    pub fn with_resilience_clock(
-        mut self,
-        policy: ResiliencePolicy,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        self.resilience = Some(ResilienceState::new(policy, clock));
-        self
-    }
-
     /// The dispatch policy.
     pub fn policy(&self) -> TierPolicy {
         self.policy
@@ -670,20 +638,12 @@ impl InferenceEngine {
         self.cache.as_ref()
     }
 
-    /// Resilience counter snapshot (zeroed when no policy is installed).
+    /// Demotion-ladder counter snapshot.
     pub fn resilience_stats(&self) -> ResilStats {
-        self.resilience
-            .as_ref()
-            .map(ResilienceState::stats)
-            .unwrap_or_default()
-    }
-
-    /// The given tier's circuit-breaker state, when a resilience policy
-    /// is installed.
-    pub fn breaker_state(&self, tier: Tier) -> Option<BreakerState> {
-        self.resilience
-            .as_ref()
-            .map(|res| res.breakers[tier.index()].state())
+        ResilStats {
+            demotions: self.demotions.load(Ordering::Relaxed),
+            degraded_served: self.degraded_served.load(Ordering::Relaxed),
+        }
     }
 
     /// The tier that will answer under the current policy and configured
@@ -753,160 +713,53 @@ impl InferenceEngine {
         Ok(eval)
     }
 
-    /// Runs one tier's attempt budget: breaker gate, retries with
-    /// deterministic backoff, deadline checks. `last_resort` (the bottom
-    /// of the ladder) ignores the breaker and the deadline — an answer,
-    /// however cheap, always beats an error.
-    fn attempt_tier(
+    /// Flags a finite answer that `tier` served below the `demanded`
+    /// tier as degraded, with `tier`'s certified bound, and reports it.
+    /// A failure passes through unchanged to the next rung.
+    fn degrade(
         &self,
+        outcome: Result<Eval, CoreError>,
+        demanded: Tier,
         tier: Tier,
-        query: &Query,
-        res: &ResilienceState,
-        start_ns: u64,
-        last_resort: bool,
-        observer: &mut Option<&mut dyn Observer>,
-    ) -> TierVerdict {
-        let breaker = &res.breakers[tier.index()];
-        let (allowed, transition) = breaker.allow(res.clock.now_ns());
-        if let Some(t) = &transition {
-            emit_trip(tier, t, observer);
-        }
-        if !allowed && !last_resort {
-            return TierVerdict::Demote(DegradeReason::BreakerOpen, None);
-        }
-        let past_deadline = |now: u64| {
-            res.policy
-                .deadline_ns
-                .is_some_and(|d| now.saturating_sub(start_ns) >= d)
-        };
-        let mut last_err: Option<CoreError> = None;
-        for attempt in 0..res.policy.attempts_per_tier.max(1) {
-            if !last_resort && past_deadline(res.clock.now_ns()) {
-                res.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                emit_counter(observer, "resil.deadline_exceeded", 1);
-                return TierVerdict::Demote(DegradeReason::Timeout, last_err);
-            }
-            if attempt > 0 {
-                res.retries.fetch_add(1, Ordering::Relaxed);
-                emit_counter(observer, "resil.retries", 1);
-                res.clock.sleep_ns(res.policy.backoff_ns(attempt));
-            }
-            match self.evaluate_at(tier, query) {
-                Ok(eval) if eval.vout.value().is_finite() => {
-                    if !last_resort && past_deadline(res.clock.now_ns()) {
-                        // Landed past the deadline: the caller's budget is
-                        // spent, so treat it as a timeout (and let the
-                        // breaker see the slowness) rather than serving a
-                        // late answer at full latency cost downstream.
-                        res.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                        emit_counter(observer, "resil.deadline_exceeded", 1);
-                        if !eval.cached {
-                            if let Some(t) = breaker.record(true, res.clock.now_ns()) {
-                                emit_trip(tier, &t, observer);
-                            }
-                        }
-                        return TierVerdict::Demote(DegradeReason::Timeout, last_err);
-                    }
-                    if !eval.cached {
-                        if let Some(t) = breaker.record(false, res.clock.now_ns()) {
-                            emit_trip(tier, &t, observer);
-                        }
-                    }
-                    return TierVerdict::Answered(eval);
-                }
-                Ok(_) => {
-                    // Non-finite output — a failure the cache refused to
-                    // memoize; retry like any transient.
-                    if let Some(t) = breaker.record(true, res.clock.now_ns()) {
-                        emit_trip(tier, &t, observer);
-                    }
-                    last_err = Some(CoreError::Internal {
-                        reason: "evaluator produced a non-finite output",
-                    });
-                }
-                Err(e) if retryable(&e) => {
-                    if let Some(t) = breaker.record(true, res.clock.now_ns()) {
-                        emit_trip(tier, &t, observer);
-                    }
-                    last_err = Some(e);
-                }
-                Err(e) => return TierVerdict::Fatal(e),
-            }
-        }
-        TierVerdict::Demote(DegradeReason::Failure, last_err)
-    }
-
-    /// The demotion ladder: walks from the demanded tier down to the
-    /// analytic closed form, serving the first answer and annotating it
-    /// as degraded (with the serving tier's certified error bound) when
-    /// it came from below the demanded fidelity.
-    fn evaluate_resilient(
-        &self,
-        query: &Query,
-        res: &ResilienceState,
         observer: &mut Option<&mut dyn Observer>,
     ) -> Result<Eval, CoreError> {
-        let start_ns = res.clock.now_ns();
-        let demanded = self.resolved_tier();
-        let mut tier = demanded;
-        let mut reason = DegradeReason::Failure;
-        let mut last_err: Option<CoreError> = None;
-        loop {
-            let last_resort = self.tier_below(tier).is_none();
-            match self.attempt_tier(tier, query, res, start_ns, last_resort, observer) {
-                TierVerdict::Answered(mut eval) => {
-                    if tier != demanded {
-                        eval.degraded = true;
-                        eval.error_bound = self.policy.tier_bound(tier);
-                        res.degraded_served.fetch_add(1, Ordering::Relaxed);
-                        emit_event(
-                            observer,
-                            &Event::Degraded {
-                                demanded: demanded.name(),
-                                served: tier.name(),
-                                reason: reason.name(),
-                                error_bound: eval.error_bound,
-                            },
-                        );
-                    }
-                    return Ok(eval);
-                }
-                TierVerdict::Demote(r, err) => {
-                    if err.is_some() {
-                        last_err = err;
-                    }
-                    reason = r;
-                    match self.tier_below(tier) {
-                        Some(below) => {
-                            res.demotions.fetch_add(1, Ordering::Relaxed);
-                            tier = below;
-                        }
-                        None => {
-                            return Err(last_err.unwrap_or(CoreError::Internal {
-                                reason: "resilience ladder exhausted without a recorded error",
-                            }))
-                        }
-                    }
-                }
-                TierVerdict::Fatal(e) => return Err(e),
-            }
-        }
+        let mut eval = match outcome {
+            Ok(eval) if eval.vout.value().is_finite() => eval,
+            failed => return failed,
+        };
+        eval.degraded = true;
+        eval.error_bound = self.policy.tier_bound(tier);
+        self.degraded_served.fetch_add(1, Ordering::Relaxed);
+        emit_event(
+            observer,
+            &Event::Degraded {
+                demanded: demanded.name(),
+                served: tier.name(),
+                error_bound: eval.error_bound,
+            },
+        );
+        Ok(eval)
     }
 
-    /// Answers one query through the tiered dispatch and memo cache; with
-    /// a resilience policy installed, through the demotion ladder.
+    /// Answers one query through the tiered dispatch and memo cache.
+    ///
+    /// A transient failure at the resolved tier (a simulation error or a
+    /// non-finite answer) walks the demotion ladder: each cheaper tier
+    /// gets one attempt, bypassing the cache, and the first finite answer
+    /// is served flagged [`Eval::degraded`] with its tier's certified
+    /// bound. A demoted answer is never memoized.
     ///
     /// # Errors
     ///
-    /// Propagates evaluator errors (structural ones only, once a
-    /// resilience policy is installed — transient failures degrade).
+    /// Structural evaluator errors (a bad query), and the analytic
+    /// tier's failure when the whole ladder fails.
     pub fn evaluate(&self, query: &Query) -> Result<Eval, CoreError> {
         self.evaluate_inner(query, &mut None)
     }
 
-    /// [`InferenceEngine::evaluate`] with telemetry: `resil.*` counters
-    /// and [`Event::ResilienceTrip`] / [`Event::Degraded`] events reach
-    /// `observer` as they happen.
+    /// [`InferenceEngine::evaluate`] with telemetry: an
+    /// [`Event::Degraded`] reaches `observer` for each answer served
+    /// below the resolved tier.
     ///
     /// # Errors
     ///
@@ -925,45 +778,31 @@ impl InferenceEngine {
         observer: &mut Option<&mut dyn Observer>,
     ) -> Result<Eval, CoreError> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        match &self.resilience {
-            Some(res) => self.evaluate_resilient(query, res, observer),
-            None => self.evaluate_at(self.resolved_tier(), query),
+        let demanded = self.resolved_tier();
+        let mut tier = demanded;
+        let mut outcome = self.evaluate_at(tier, query);
+        while demotes(&outcome) {
+            let Some(below) = self.tier_below(tier) else {
+                break;
+            };
+            self.demotions.fetch_add(1, Ordering::Relaxed);
+            tier = below;
+            self.tier_evals[tier.index()].fetch_add(1, Ordering::Relaxed);
+            let fresh = self.tier_evaluator(tier).evaluate(&self.admitted(query));
+            outcome = self.degrade(fresh, demanded, tier, observer);
+        }
+        match outcome {
+            Ok(eval) if !eval.vout.value().is_finite() => Err(non_finite()),
+            other => other,
         }
     }
 
-    /// One batched, deduplicated dispatch at exactly `tier` (the old
-    /// non-resilient batch path, factored so the resilient path can reuse
-    /// it per ladder rung). Feeds per-miss outcomes to the tier's breaker
-    /// when resilience is active.
-    fn dispatch_batch(
-        &self,
-        tier: Tier,
-        queries: &[Query],
-        res: Option<&ResilienceState>,
-        observer: &mut Option<&mut dyn Observer>,
-    ) -> Vec<Result<Eval, CoreError>> {
+    /// One batched, deduplicated, cache-aware dispatch at exactly `tier`.
+    fn dispatch_batch(&self, tier: Tier, queries: &[Query]) -> Vec<Result<Eval, CoreError>> {
         let evaluator = self.tier_evaluator(tier);
-        let record_outcomes =
-            |results: &[Result<Eval, CoreError>], observer: &mut Option<&mut dyn Observer>| {
-                if let Some(res) = res {
-                    let breaker = &res.breakers[tier.index()];
-                    for r in results {
-                        let failed = match r {
-                            Ok(e) => !e.vout.value().is_finite(),
-                            Err(_) => true,
-                        };
-                        if let Some(t) = breaker.record(failed, res.clock.now_ns()) {
-                            emit_trip(tier, &t, observer);
-                        }
-                    }
-                }
-            };
-
         let Some(cache) = &self.cache else {
             self.tier_evals[tier.index()].fetch_add(queries.len() as u64, Ordering::Relaxed);
-            let out = evaluator.evaluate_batch(queries);
-            record_outcomes(&out, observer);
-            return out;
+            return evaluator.evaluate_batch(queries);
         };
 
         let mut out: Vec<Option<Result<Eval, CoreError>>> = vec![None; queries.len()];
@@ -995,7 +834,6 @@ impl InferenceEngine {
 
         self.tier_evals[tier.index()].fetch_add(misses.len() as u64, Ordering::Relaxed);
         let computed = evaluator.evaluate_batch(&misses);
-        record_outcomes(&computed, observer);
         for (key, slot) in miss_of {
             if let Ok(eval) = &computed[slot] {
                 if eval.vout.value().is_finite() && !eval.degraded {
@@ -1018,15 +856,13 @@ impl InferenceEngine {
     }
 
     /// Answers a batch: cache hits are served immediately, distinct
-    /// misses are deduplicated and fanned over the selected tier's
+    /// misses are deduplicated and fanned over the resolved tier's
     /// batched evaluator (which amortizes circuit construction and
     /// parallelises over the work-stealing sweep driver).
     ///
-    /// With a resilience policy installed, the batch starts at the
-    /// highest tier whose breaker admits calls; queries that still fail
-    /// transiently (or answer non-finite) are rerouted one-by-one through
-    /// the full demotion ladder, so a sick tier degrades the affected
-    /// queries instead of failing the batch.
+    /// Slots that fail transiently carry on down the demotion ladder, one
+    /// batch per cheaper tier, exactly as [`InferenceEngine::evaluate`]
+    /// would serve them: the tier that just failed is not asked again.
     pub fn evaluate_batch(&self, queries: &[Query]) -> Vec<Result<Eval, CoreError>> {
         self.evaluate_batch_inner(queries, &mut None)
     }
@@ -1039,68 +875,35 @@ impl InferenceEngine {
         self.queries
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
         let demanded = self.resolved_tier();
-        let Some(res) = &self.resilience else {
-            return self.dispatch_batch(demanded, queries, None, observer);
-        };
-
-        // Pick the highest tier whose breaker admits calls right now; the
-        // bottom of the ladder always serves.
         let mut tier = demanded;
-        loop {
-            let (allowed, transition) = res.breakers[tier.index()].allow(res.clock.now_ns());
-            if let Some(t) = &transition {
-                emit_trip(tier, t, observer);
-            }
-            if allowed {
+        let mut out = self.dispatch_batch(tier, queries);
+        let mut failed: Vec<usize> = (0..out.len()).filter(|&i| demotes(&out[i])).collect();
+        while !failed.is_empty() {
+            let Some(below) = self.tier_below(tier) else {
+                for i in failed {
+                    if out[i].is_ok() {
+                        out[i] = Err(non_finite());
+                    }
+                }
                 break;
-            }
-            match self.tier_below(tier) {
-                Some(below) => {
-                    res.demotions.fetch_add(1, Ordering::Relaxed);
-                    tier = below;
-                }
-                None => break,
-            }
-        }
-
-        let mut out = self.dispatch_batch(tier, queries, Some(res), observer);
-        // Transient failures and non-finite answers get the full ladder,
-        // one by one (they are the rare case by construction).
-        for (i, slot) in out.iter_mut().enumerate() {
-            let reroute = match slot {
-                Ok(e) => !e.vout.value().is_finite(),
-                Err(e) => retryable(e),
             };
-            if reroute {
-                *slot = self.evaluate_resilient(&queries[i], res, observer);
+            let n = failed.len() as u64;
+            self.demotions.fetch_add(n, Ordering::Relaxed);
+            tier = below;
+            self.tier_evals[tier.index()].fetch_add(n, Ordering::Relaxed);
+            let admitted: Vec<Query> = failed.iter().map(|&i| self.admitted(&queries[i])).collect();
+            let fresh = self.tier_evaluator(tier).evaluate_batch(&admitted);
+            for (&i, outcome) in failed.iter().zip(fresh) {
+                out[i] = self.degrade(outcome, demanded, tier, observer);
             }
-        }
-        // Everything still answered at a walked-down batch tier is a
-        // degraded serve against the demanded fidelity.
-        if tier != demanded {
-            let bound = self.policy.tier_bound(tier);
-            for slot in out.iter_mut().flatten() {
-                if slot.tier == tier && !slot.degraded {
-                    slot.degraded = true;
-                    slot.error_bound = bound;
-                    res.degraded_served.fetch_add(1, Ordering::Relaxed);
-                    emit_event(
-                        observer,
-                        &Event::Degraded {
-                            demanded: demanded.name(),
-                            served: tier.name(),
-                            reason: DegradeReason::BreakerOpen.name(),
-                            error_bound: bound,
-                        },
-                    );
-                }
-            }
+            failed.retain(|&i| demotes(&out[i]));
         }
         out
     }
 
-    /// [`InferenceEngine::evaluate_batch`] with telemetry: resilience
-    /// counters and events stream to `observer` as they happen, and one
+    /// [`InferenceEngine::evaluate_batch`] with telemetry: an
+    /// [`Event::Degraded`] reaches `observer` for each demoted answer as
+    /// it is served, and one
     /// [`Event::InferBatch`] describing the batch (plus an
     /// `infer.lock_poisoned` counter when shards were recovered) is
     /// dispatched at the end.
@@ -1132,7 +935,7 @@ impl InferenceEngine {
     }
 
     /// Serving report: total queries, per-tier evaluation counts, cache
-    /// and resilience statistics.
+    /// and demotion-ladder statistics.
     pub fn report(&self) -> InferReport {
         InferReport {
             queries: self.queries.load(Ordering::Relaxed),
@@ -1185,7 +988,7 @@ impl Evaluator for InferenceEngine {
 mod tests {
     use super::*;
     use crate::eval::SwitchLevelEvaluator;
-    use crate::resilience::{BreakerConfig, ManualClock};
+    use std::sync::Arc;
 
     fn query(duties: &[f64]) -> Query {
         Query::from_raw(duties, &[7, 5, 3], 3).unwrap()
@@ -1425,50 +1228,25 @@ mod tests {
         }
     }
 
-    fn resilient_engine(flaky_failures: u64) -> (InferenceEngine, Arc<AtomicU64>, Arc<AtomicU64>) {
+    fn flaky_engine(flaky_failures: u64) -> (InferenceEngine, Arc<AtomicU64>, Arc<AtomicU64>) {
         let (flaky, remaining, calls) = FlakyEvaluator::new(flaky_failures, Tier::SwitchLevel);
-        let clock = Arc::new(ManualClock::new());
         let engine = InferenceEngine::paper()
             .with_switch_tier(flaky)
-            .with_policy(TierPolicy::switch_level())
-            .with_resilience_clock(
-                ResiliencePolicy::new()
-                    .with_attempts(2)
-                    .with_breaker(BreakerConfig {
-                        window: 8,
-                        failure_rate: 0.5,
-                        min_samples: 4,
-                        cooldown_ns: 1_000,
-                        half_open_probes: 2,
-                    }),
-                clock,
-            );
+            .with_policy(TierPolicy::switch_level());
         (engine, remaining, calls)
     }
 
     #[test]
-    fn retry_rescues_a_transient_failure() {
-        let (engine, _, calls) = resilient_engine(1);
-        let eval = engine.evaluate(&query(&[0.25, 0.5, 0.75])).unwrap();
-        assert!(!eval.degraded, "the retry answered at full fidelity");
-        assert_eq!(eval.tier, Tier::SwitchLevel);
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
-        let stats = engine.resilience_stats();
-        assert_eq!(stats.retries, 1);
-        assert_eq!(stats.demotions, 0);
-        assert_eq!(stats.degraded_served, 0);
-    }
-
-    #[test]
-    fn exhausted_attempts_demote_to_analytic_with_bound() {
+    fn failed_tier_demotes_to_analytic_with_bound() {
         use mssim::telemetry::MemoryRecorder;
-        let (engine, _, _) = resilient_engine(u64::MAX);
+        let (engine, _, calls) = flaky_engine(u64::MAX);
         let q = query(&[0.25, 0.5, 0.75]);
         let mut rec = MemoryRecorder::new();
         let eval = engine.evaluate_observed(&q, &mut rec).unwrap();
         assert!(eval.degraded);
         assert_eq!(eval.tier, Tier::Analytic);
         assert_eq!(eval.error_bound, ANALYTIC_ERROR_BOUND);
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "one attempt per tier");
         // The degraded answer still matches the analytic closed form.
         let clean = AnalyticEvaluator::paper().evaluate(&q).unwrap();
         assert_eq!(eval.vout, clean.vout);
@@ -1476,130 +1254,98 @@ mod tests {
         assert_eq!(stats.demotions, 1);
         assert_eq!(stats.degraded_served, 1);
         assert_eq!(rec.counter_value("resil.degraded"), 1);
-        assert_eq!(rec.counter_value("resil.demote_failure"), 1);
         assert!(rec.events().iter().any(|e| matches!(
             e,
             Event::Degraded {
+                demanded: "switch-level",
                 served: "analytic",
-                reason: "failure",
                 ..
             }
         )));
     }
 
     #[test]
-    fn open_breaker_sheds_to_analytic_then_recovers() {
-        let (engine, remaining, calls) = resilient_engine(u64::MAX);
-        let q = query(&[0.25, 0.5, 0.75]);
-        // Two failing queries × 2 attempts = 4 failures ≥ min_samples at
-        // 100% failure rate: the switch breaker opens.
-        for _ in 0..2 {
-            assert!(engine.evaluate(&q).unwrap().degraded);
-        }
-        assert_eq!(
-            engine.breaker_state(Tier::SwitchLevel),
-            Some(BreakerState::Open)
-        );
-        let before = calls.load(Ordering::Relaxed);
-        let eval = engine.evaluate(&q).unwrap();
-        assert!(eval.degraded);
-        assert_eq!(eval.tier, Tier::Analytic);
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            before,
-            "an open breaker sheds load without touching the sick tier"
-        );
-        assert!(engine.resilience_stats().breaker_trips >= 1);
-
-        // Heal the tier, run out the cooldown: probes close the breaker
-        // and full-fidelity service resumes.
-        remaining.store(0, Ordering::Relaxed);
-        let res = engine.resilience.as_ref().unwrap();
-        res.clock.sleep_ns(2_000);
-        for _ in 0..2 {
-            assert!(!engine.evaluate(&q).unwrap().degraded);
-        }
-        assert_eq!(
-            engine.breaker_state(Tier::SwitchLevel),
-            Some(BreakerState::Closed)
-        );
+    fn structural_errors_are_not_demoted() {
+        let (engine, _, _) = flaky_engine(0);
+        let ragged = Query {
+            duties: vec![DutyCycle::new(0.5)],
+            weights: WeightVector::new(vec![7, 7], 3).unwrap(),
+        };
+        let err = engine.evaluate(&ragged).unwrap_err();
+        assert!(matches!(err, CoreError::DimensionMismatch { .. }));
+        assert_eq!(engine.resilience_stats(), ResilStats::default());
     }
 
     #[test]
-    fn deadline_expiry_demotes_with_timeout_reason() {
-        use crate::resilience::{ChaosConfig, ChaosEvaluator};
-        use mssim::telemetry::MemoryRecorder;
-        let clock = Arc::new(ManualClock::new());
-        // Every switch-tier call spikes 100 µs against a 50 µs deadline.
-        let chaos = ChaosEvaluator::with_clock(
-            SwitchLevelEvaluator::paper(),
-            ChaosConfig {
-                seed: 1,
-                fail_rate: 0.0,
-                nan_rate: 0.0,
-                spike_rate: 1.0,
-                spike_ns: 100_000,
-            },
-            clock.clone(),
-        );
-        let engine = InferenceEngine::paper()
-            .with_switch_tier(chaos)
-            .with_policy(TierPolicy::switch_level())
-            .with_resilience_clock(ResiliencePolicy::new().with_deadline_ns(50_000), clock);
-        let mut rec = MemoryRecorder::new();
-        let eval = engine
-            .evaluate_observed(&query(&[0.25, 0.5, 0.75]), &mut rec)
-            .unwrap();
-        assert!(eval.degraded);
-        assert_eq!(eval.tier, Tier::Analytic);
-        assert!(engine.resilience_stats().deadline_exceeded >= 1);
-        assert_eq!(rec.counter_value("resil.demote_timeout"), 1);
-        assert!(rec.events().iter().any(|e| matches!(
-            e,
-            Event::Degraded {
-                reason: "timeout",
-                ..
-            }
-        )));
-    }
-
-    #[test]
-    fn resilient_batch_reroutes_failures_instead_of_erroring() {
-        let (engine, _, _) = resilient_engine(3);
+    fn batch_carries_failed_slots_down_the_ladder() {
+        let (engine, _, calls) = flaky_engine(3);
         let qs: Vec<Query> = (0..8).map(|i| query(&[i as f64 / 7.0, 0.5, 0.5])).collect();
         let out = engine.evaluate_batch(&qs);
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            8,
+            "the failing tier is not asked again"
+        );
+        let mut degraded = 0;
         for (q, r) in qs.iter().zip(&out) {
-            let eval = r
-                .as_ref()
-                .expect("resilient batch never errors transiently");
-            assert!(eval.vout.value().is_finite());
+            let eval = r.as_ref().expect("the ladder answers every slot");
             if eval.degraded {
+                degraded += 1;
+                assert_eq!(eval.tier, Tier::Analytic);
                 assert_eq!(eval.error_bound, ANALYTIC_ERROR_BOUND);
                 let clean = AnalyticEvaluator::paper().evaluate(q).unwrap();
                 assert_eq!(eval.vout, clean.vout);
+            } else {
+                assert_eq!(eval.tier, Tier::SwitchLevel);
             }
         }
+        assert_eq!(degraded, 3);
+        assert_eq!(engine.resilience_stats().degraded_served, 3);
+        assert_eq!(engine.report().evals(Tier::Analytic), 3);
     }
 
     #[test]
     fn degraded_answers_are_not_memoized_across_tiers() {
         // A degraded (analytic-served) answer must not later be served as
-        // a switch-level cache hit: keys carry the answering tier, and
-        // degraded values are never inserted.
-        let (flaky, rem2, _) = FlakyEvaluator::new(2, Tier::SwitchLevel);
-        let clock = Arc::new(ManualClock::new());
+        // a cache hit: demoted tiers bypass the cache.
+        let (flaky, remaining, _) = FlakyEvaluator::new(1, Tier::SwitchLevel);
         let engine = InferenceEngine::paper()
             .with_switch_tier(flaky)
             .with_policy(TierPolicy::switch_level())
-            .with_cache(16, 1024)
-            .with_resilience_clock(ResiliencePolicy::new().with_attempts(1), clock);
+            .with_cache(16, 1024);
         let q = query(&[0.25, 0.5, 0.75]);
         let degraded = engine.evaluate(&q).unwrap();
         assert!(degraded.degraded, "first serve degrades (flaky fails)");
-        rem2.store(0, Ordering::Relaxed);
+        assert!(!degraded.cached);
+        assert_eq!(remaining.load(Ordering::Relaxed), 0);
         let healed = engine.evaluate(&q).unwrap();
         assert!(!healed.degraded, "healed tier serves at full fidelity");
         assert!(!healed.cached, "the degraded answer was never cached");
         assert_eq!(healed.tier, Tier::SwitchLevel);
+        assert!(engine.evaluate(&q).unwrap().cached);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 duty levels")]
+    fn cache_rejects_grids_finer_than_its_keys() {
+        // Level 100 000 of a 2^17-level grid would key as the saturated
+        // u16 65 535 and collide with every level above it.
+        let _ = MemoCache::new(65_537, 1024);
+    }
+
+    #[test]
+    fn finest_cache_grid_keys_every_level_apart() {
+        let engine = InferenceEngine::paper().with_cache(1 << 16, 1024);
+        let analytic = AnalyticEvaluator::paper();
+        for level in [65_533u32, 65_534, 65_535] {
+            let d = level as f64 / 65_535.0;
+            let q = Query::from_raw(&[d], &[7], 3).unwrap();
+            let got = engine.evaluate(&q).unwrap();
+            assert!(!got.cached, "level {level} has its own key");
+            assert_eq!(
+                got.vout,
+                analytic.evaluate(&q.quantized(1 << 16)).unwrap().vout
+            );
+        }
     }
 }

@@ -21,9 +21,9 @@
 //!   [`eval::Evaluator`] trait with batched entry points.
 //! * [`infer`] — the batched inference engine: tiered dispatch over the
 //!   evaluators, a duty-quantized memo cache, and serving telemetry.
-//! * [`resilience`] — deadline/attempt budgets, per-tier circuit
-//!   breakers, the tier-demotion ladder, and a deterministic chaos
-//!   evaluator for fault-injection testing of the serving stack.
+//! * [`resilience`] — the tier-demotion ladder's counters and a
+//!   deterministic chaos evaluator for fault-injection testing of the
+//!   serving stack.
 //! * [`PwmPerceptron`] / [`DifferentialPerceptron`] — classification with
 //!   a comparator against an absolute or ratiometric reference.
 //! * [`train`] — hardware-in-the-loop integer perceptron learning
@@ -86,7 +86,7 @@ pub use infer::{Eval, InferenceEngine, Query, Tier, TierPolicy};
 pub use layer::{HardLayer, Mlp};
 pub use multiclass::WtaClassifier;
 pub use perceptron::{DifferentialPerceptron, PwmPerceptron, Reference};
-pub use resilience::{ChaosConfig, ChaosEvaluator, ResilStats, ResiliencePolicy};
+pub use resilience::{ChaosConfig, ChaosEvaluator, ResilStats};
 pub use weight::{SignedWeightVector, WeightVector};
 
 /// Curated re-exports — the stable serving surface in one `use`.
@@ -108,9 +108,7 @@ pub mod prelude {
     pub use crate::multiclass::WtaClassifier;
     pub use crate::perceptron::{DifferentialPerceptron, PwmPerceptron, Reference};
     pub use crate::resilience::{
-        chaos_fault_at, BreakerConfig, BreakerState, BreakerTransition, ChaosConfig,
-        ChaosEvaluator, ChaosFault, CircuitBreaker, Clock, DegradeReason, ManualClock,
-        MonotonicClock, ResilStats, ResiliencePolicy,
+        chaos_fault_at, ChaosConfig, ChaosEvaluator, ChaosFault, ResilStats,
     };
     pub use crate::weight::{SignedWeightVector, WeightVector};
 }

@@ -1,31 +1,24 @@
-//! Resilient serving primitives: deadline/attempt budgets, per-tier
-//! circuit breakers, and deterministic chaos injection.
+//! Resilient serving: the demotion ladder's counters and deterministic
+//! chaos injection to exercise it.
 //!
 //! The paper's central robustness claim is that the PWM perceptron
 //! *degrades gracefully* — a droopy supply shifts the output a bounded
-//! amount instead of breaking the classification. This module gives the
-//! serving stack the same property: instead of failing a query when the
-//! transistor-level tier misbehaves, [`crate::InferenceEngine`] walks a
-//! demotion ladder (Circuit → SwitchLevel → Analytic) and serves the
-//! next-cheaper tier's answer flagged `degraded` with its certified error
-//! bound.
+//! amount instead of breaking the classification. The serving stack has
+//! the same property: instead of failing a query when a tier misbehaves,
+//! [`crate::InferenceEngine`] walks a demotion ladder (Circuit →
+//! SwitchLevel → Analytic). Each tier gets one attempt; a transient
+//! failure (a simulation error or a non-finite answer) is answered by the
+//! next-cheaper tier, flagged `degraded` with that tier's certified error
+//! bound. The shipped tiers are deterministic functions of the query, so
+//! asking a tier that just failed again would fail again: the ladder
+//! neither retries nor waits.
 //!
-//! * [`ResiliencePolicy`] — per-query deadline and per-tier attempt
-//!   budget with deterministic exponential backoff.
-//! * [`CircuitBreaker`] — rolling failure-rate window with the classic
-//!   closed/open/half-open state machine, so a sick tier sheds load
-//!   before queueing work it cannot finish. All timing flows through an
-//!   injectable [`Clock`], so state transitions are reproducible in
-//!   tests ([`ManualClock`]) while production uses wall time
-//!   ([`MonotonicClock`]).
+//! * [`ResilStats`] — the ladder's counters.
 //! * [`ChaosEvaluator`] — a seeded fault-injection wrapper over any
-//!   [`Evaluator`]: per-(seed, call-index) forced non-convergence, NaN
-//!   outputs and latency spikes, bitwise reproducible for a given seed.
+//!   [`Evaluator`]: per-(seed, call-index) forced non-convergence and NaN
+//!   outputs, bitwise reproducible for a given seed.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 use mssim::prelude::Volts;
 
@@ -35,449 +28,13 @@ use crate::eval::Evaluator;
 use crate::infer::{Eval, Query, Tier};
 use crate::weight::WeightVector;
 
-/// Time source for resilience decisions (deadlines, backoff, breaker
-/// cooldowns). Injectable so every state transition is reproducible.
-pub trait Clock: Send + Sync {
-    /// Monotonic now, in nanoseconds from an arbitrary origin.
-    fn now_ns(&self) -> u64;
-
-    /// Blocks (or logically advances) for `ns` nanoseconds — used for
-    /// retry backoff and injected latency.
-    fn sleep_ns(&self, ns: u64);
-}
-
-/// Wall-clock [`Clock`] backed by [`Instant`]; `sleep_ns` really sleeps.
-#[derive(Debug)]
-pub struct MonotonicClock {
-    origin: Instant,
-}
-
-impl MonotonicClock {
-    /// Clock with its origin at construction time.
-    pub fn new() -> Self {
-        MonotonicClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for MonotonicClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for MonotonicClock {
-    fn now_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
-
-    fn sleep_ns(&self, ns: u64) {
-        std::thread::sleep(std::time::Duration::from_nanos(ns));
-    }
-}
-
-/// Deterministic test/chaos [`Clock`]: time only moves when advanced, and
-/// `sleep_ns` advances it instead of blocking. Shared via [`Arc`] between
-/// the engine and the test (or chaos harness) driving it.
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now: AtomicU64,
-}
-
-impl ManualClock {
-    /// Clock starting at 0 ns.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Clock starting at `ns`.
-    pub fn at(ns: u64) -> Self {
-        ManualClock {
-            now: AtomicU64::new(ns),
-        }
-    }
-
-    /// Moves time forward by `ns`.
-    pub fn advance(&self, ns: u64) {
-        self.now.fetch_add(ns, Ordering::Relaxed);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
-    }
-
-    fn sleep_ns(&self, ns: u64) {
-        self.advance(ns);
-    }
-}
-
-/// Circuit-breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerConfig {
-    /// Rolling outcome window length (most recent evaluations).
-    pub window: usize,
-    /// Open when the window's failure rate reaches this fraction.
-    pub failure_rate: f64,
-    /// Minimum outcomes in the window before the rate can trip — a single
-    /// early failure must not open the breaker.
-    pub min_samples: usize,
-    /// How long an open breaker rejects before probing (half-open).
-    pub cooldown_ns: u64,
-    /// Consecutive half-open successes required to close again.
-    pub half_open_probes: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            window: 64,
-            failure_rate: 0.5,
-            min_samples: 16,
-            cooldown_ns: 250_000_000,
-            half_open_probes: 3,
-        }
-    }
-}
-
-/// Circuit-breaker state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal operation; outcomes feed the rolling window.
-    Closed,
-    /// Failure rate tripped: calls are rejected until the cooldown ends.
-    Open,
-    /// Cooldown elapsed: probe calls are admitted to test recovery.
-    HalfOpen,
-}
-
-impl BreakerState {
-    /// Stable lowercase name (matches the telemetry vocabulary).
-    pub fn name(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
-        }
-    }
-}
-
-/// One breaker state transition, for telemetry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerTransition {
-    /// State before.
-    pub from: BreakerState,
-    /// State after.
-    pub to: BreakerState,
-    /// Rolling failure rate observed at the transition (1.0 for a failed
-    /// half-open probe, 0.0 for a recovery close).
-    pub failure_rate: f64,
-}
-
-#[derive(Debug)]
-struct BreakerCore {
-    /// Most recent outcomes, `true` = failure.
-    outcomes: VecDeque<bool>,
-    state: BreakerState,
-    opened_at_ns: u64,
-    probe_successes: u32,
-    trips: u64,
-}
-
-impl BreakerCore {
-    fn rate(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            0.0
-        } else {
-            self.outcomes.iter().filter(|&&f| f).count() as f64 / self.outcomes.len() as f64
-        }
-    }
-}
-
-/// Per-tier circuit breaker: a rolling failure-rate window driving the
-/// classic closed → open → half-open state machine. All methods take an
-/// explicit `now_ns` from the caller's [`Clock`], so the machine itself
-/// is a pure function of its inputs — the proptest suite drives it with
-/// a [`ManualClock`] and checks every transition is legal.
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    config: BreakerConfig,
-    core: Mutex<BreakerCore>,
-}
-
-impl CircuitBreaker {
-    /// Breaker in the closed state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`, `half_open_probes == 0`, or
-    /// `failure_rate` is outside `(0, 1]`.
-    pub fn new(config: BreakerConfig) -> Self {
-        assert!(config.window > 0, "window must be non-empty");
-        assert!(config.half_open_probes > 0, "need at least one probe");
-        assert!(
-            config.failure_rate > 0.0 && config.failure_rate <= 1.0,
-            "failure_rate must be in (0, 1]"
-        );
-        CircuitBreaker {
-            config,
-            core: Mutex::new(BreakerCore {
-                outcomes: VecDeque::with_capacity(config.window),
-                state: BreakerState::Closed,
-                opened_at_ns: 0,
-                probe_successes: 0,
-                trips: 0,
-            }),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BreakerCore> {
-        // No caller code runs under the lock, so a poisoned mutex only
-        // means a panicking thread died between states — the core is
-        // still consistent.
-        self.core.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Whether a call may proceed now. Transitions open → half-open when
-    /// the cooldown has elapsed (the admitted call is the probe).
-    pub fn allow(&self, now_ns: u64) -> (bool, Option<BreakerTransition>) {
-        let mut c = self.lock();
-        match c.state {
-            BreakerState::Closed | BreakerState::HalfOpen => (true, None),
-            BreakerState::Open => {
-                if now_ns.saturating_sub(c.opened_at_ns) >= self.config.cooldown_ns {
-                    c.state = BreakerState::HalfOpen;
-                    c.probe_successes = 0;
-                    (
-                        true,
-                        Some(BreakerTransition {
-                            from: BreakerState::Open,
-                            to: BreakerState::HalfOpen,
-                            failure_rate: c.rate(),
-                        }),
-                    )
-                } else {
-                    (false, None)
-                }
-            }
-        }
-    }
-
-    /// Feeds one call outcome (`failed = true` for failure) into the
-    /// machine, returning any resulting transition.
-    pub fn record(&self, failed: bool, now_ns: u64) -> Option<BreakerTransition> {
-        let mut c = self.lock();
-        match c.state {
-            BreakerState::Closed => {
-                if c.outcomes.len() == self.config.window {
-                    c.outcomes.pop_front();
-                }
-                c.outcomes.push_back(failed);
-                let rate = c.rate();
-                if failed
-                    && c.outcomes.len() >= self.config.min_samples
-                    && rate >= self.config.failure_rate
-                {
-                    c.state = BreakerState::Open;
-                    c.opened_at_ns = now_ns;
-                    c.trips += 1;
-                    c.outcomes.clear();
-                    Some(BreakerTransition {
-                        from: BreakerState::Closed,
-                        to: BreakerState::Open,
-                        failure_rate: rate,
-                    })
-                } else {
-                    None
-                }
-            }
-            BreakerState::HalfOpen => {
-                if failed {
-                    c.state = BreakerState::Open;
-                    c.opened_at_ns = now_ns;
-                    c.trips += 1;
-                    c.probe_successes = 0;
-                    Some(BreakerTransition {
-                        from: BreakerState::HalfOpen,
-                        to: BreakerState::Open,
-                        failure_rate: 1.0,
-                    })
-                } else {
-                    c.probe_successes += 1;
-                    if c.probe_successes >= self.config.half_open_probes {
-                        c.state = BreakerState::Closed;
-                        c.outcomes.clear();
-                        Some(BreakerTransition {
-                            from: BreakerState::HalfOpen,
-                            to: BreakerState::Closed,
-                            failure_rate: 0.0,
-                        })
-                    } else {
-                        None
-                    }
-                }
-            }
-            // An outcome from a call admitted before the trip: stale, and
-            // the open state already knows the tier is sick — drop it.
-            BreakerState::Open => None,
-        }
-    }
-
-    /// Current state without side effects (an elapsed cooldown still
-    /// reads as open until [`CircuitBreaker::allow`] admits the probe).
-    pub fn state(&self) -> BreakerState {
-        self.lock().state
-    }
-
-    /// Number of closed/half-open → open transitions so far.
-    pub fn trips(&self) -> u64 {
-        self.lock().trips
-    }
-}
-
-/// Why the demotion ladder served a cheaper tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeReason {
-    /// The tier's attempt budget was exhausted by failures.
-    Failure,
-    /// The query's deadline expired before the tier answered.
-    Timeout,
-    /// The tier's circuit breaker was open.
-    BreakerOpen,
-}
-
-impl DegradeReason {
-    /// Stable lowercase name (matches the telemetry vocabulary).
-    pub fn name(self) -> &'static str {
-        match self {
-            DegradeReason::Failure => "failure",
-            DegradeReason::Timeout => "timeout",
-            DegradeReason::BreakerOpen => "breaker_open",
-        }
-    }
-}
-
-/// Per-query resilience budget: how hard to try each tier before walking
-/// down the demotion ladder, and when to give up on time instead.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResiliencePolicy {
-    /// Evaluation attempts per tier before demoting (≥ 1).
-    pub attempts_per_tier: u32,
-    /// Backoff before retry `k` is `backoff_base_ns << (k − 1)` —
-    /// deterministic exponential backoff through the [`Clock`].
-    pub backoff_base_ns: u64,
-    /// Optional per-query deadline. Work that lands past the deadline is
-    /// treated as a timeout (the breaker records a failure and the ladder
-    /// demotes), mirroring a cancelled in-flight call. The final analytic
-    /// resort always answers regardless.
-    pub deadline_ns: Option<u64>,
-    /// Per-tier circuit-breaker tuning.
-    pub breaker: BreakerConfig,
-}
-
-impl ResiliencePolicy {
-    /// Defaults: 2 attempts per tier, 1 ms backoff base, no deadline.
-    pub fn new() -> Self {
-        ResiliencePolicy {
-            attempts_per_tier: 2,
-            backoff_base_ns: 1_000_000,
-            deadline_ns: None,
-            breaker: BreakerConfig::default(),
-        }
-    }
-
-    /// Sets the per-tier attempt budget (values below 1 are clamped).
-    pub fn with_attempts(mut self, attempts: u32) -> Self {
-        self.attempts_per_tier = attempts.max(1);
-        self
-    }
-
-    /// Sets the backoff base.
-    pub fn with_backoff_ns(mut self, base_ns: u64) -> Self {
-        self.backoff_base_ns = base_ns;
-        self
-    }
-
-    /// Sets the per-query deadline.
-    pub fn with_deadline_ns(mut self, deadline_ns: u64) -> Self {
-        self.deadline_ns = Some(deadline_ns);
-        self
-    }
-
-    /// Sets the circuit-breaker tuning.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Backoff before retry `attempt` (1-based), capped to avoid shift
-    /// overflow.
-    pub fn backoff_ns(&self, attempt: u32) -> u64 {
-        self.backoff_base_ns << attempt.saturating_sub(1).min(16)
-    }
-}
-
-impl Default for ResiliencePolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Counter snapshot of the resilience layer.
+/// Counter snapshot of the demotion ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResilStats {
-    /// Retries performed after a failed attempt.
-    pub retries: u64,
     /// Ladder demotions (one per tier walked past).
     pub demotions: u64,
     /// Queries answered by a cheaper tier than demanded.
     pub degraded_served: u64,
-    /// Deadline expiries (pre-attempt skips and late-landing answers).
-    pub deadline_exceeded: u64,
-    /// Circuit-breaker trips across all tiers.
-    pub breaker_trips: u64,
-}
-
-/// Engine-side resilience state: the policy, its clock, one breaker per
-/// tier, and incident counters.
-pub(crate) struct ResilienceState {
-    pub(crate) policy: ResiliencePolicy,
-    pub(crate) clock: Arc<dyn Clock>,
-    pub(crate) breakers: [CircuitBreaker; 3],
-    pub(crate) retries: AtomicU64,
-    pub(crate) demotions: AtomicU64,
-    pub(crate) degraded_served: AtomicU64,
-    pub(crate) deadline_exceeded: AtomicU64,
-}
-
-impl ResilienceState {
-    pub(crate) fn new(policy: ResiliencePolicy, clock: Arc<dyn Clock>) -> Self {
-        ResilienceState {
-            breakers: [
-                CircuitBreaker::new(policy.breaker),
-                CircuitBreaker::new(policy.breaker),
-                CircuitBreaker::new(policy.breaker),
-            ],
-            policy,
-            clock,
-            retries: AtomicU64::new(0),
-            demotions: AtomicU64::new(0),
-            degraded_served: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn stats(&self) -> ResilStats {
-        ResilStats {
-            retries: self.retries.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
-            degraded_served: self.degraded_served.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            breaker_trips: self.breakers.iter().map(CircuitBreaker::trips).sum(),
-        }
-    }
 }
 
 /// SplitMix64 — the same finalizer the sweep driver uses for per-trial
@@ -496,7 +53,7 @@ fn unit_draw(seed: u64, index: u64) -> f64 {
 }
 
 /// Fault mix for [`ChaosEvaluator`]. Rates are per evaluator call and
-/// mutually exclusive (failure wins over NaN wins over spike).
+/// mutually exclusive (failure wins over NaN).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
     /// Seed of the injection schedule.
@@ -505,10 +62,6 @@ pub struct ChaosConfig {
     pub fail_rate: f64,
     /// Probability of a NaN output voltage.
     pub nan_rate: f64,
-    /// Probability of an injected latency spike.
-    pub spike_rate: f64,
-    /// Duration of an injected spike (slept on the wrapper's clock).
-    pub spike_ns: u64,
 }
 
 impl ChaosConfig {
@@ -518,8 +71,6 @@ impl ChaosConfig {
             seed,
             fail_rate: 0.0,
             nan_rate: 0.0,
-            spike_rate: 0.0,
-            spike_ns: 0,
         }
     }
 }
@@ -531,8 +82,6 @@ pub enum ChaosFault {
     NonConvergence,
     /// The call answers NaN volts.
     NanOutput,
-    /// The call answers correctly but only after a latency spike.
-    LatencySpike,
 }
 
 /// The fault (if any) injected at evaluator-call `index` — a pure
@@ -543,8 +92,6 @@ pub fn chaos_fault_at(config: &ChaosConfig, index: u64) -> Option<ChaosFault> {
         Some(ChaosFault::NonConvergence)
     } else if draw < config.fail_rate + config.nan_rate {
         Some(ChaosFault::NanOutput)
-    } else if draw < config.fail_rate + config.nan_rate + config.spike_rate {
-        Some(ChaosFault::LatencySpike)
     } else {
         None
     }
@@ -554,15 +101,12 @@ pub fn chaos_fault_at(config: &ChaosConfig, index: u64) -> Option<ChaosFault> {
 ///
 /// Faults are decided per (seed, evaluator-call index) with a SplitMix64
 /// hash, so a replay with the same seed and the same call order injects
-/// bitwise-identical faults. Latency spikes sleep on the wrapper's
-/// [`Clock`] — with a [`ManualClock`] they advance logical time
-/// deterministically (and instantly) instead of stalling the test.
+/// bitwise-identical faults.
 pub struct ChaosEvaluator<E> {
     inner: E,
     config: ChaosConfig,
-    clock: Arc<dyn Clock>,
     calls: AtomicU64,
-    injected: [AtomicU64; 3],
+    injected: [AtomicU64; 2],
 }
 
 impl<E> std::fmt::Debug for ChaosEvaluator<E> {
@@ -575,26 +119,23 @@ impl<E> std::fmt::Debug for ChaosEvaluator<E> {
 }
 
 impl<E: Evaluator> ChaosEvaluator<E> {
-    /// Wraps `inner` with the given fault mix, spiking on a real clock.
+    /// Wraps `inner` with the given fault mix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a rate is negative or the rates sum to more than 1.
     pub fn new(inner: E, config: ChaosConfig) -> Self {
-        Self::with_clock(inner, config, Arc::new(MonotonicClock::new()))
-    }
-
-    /// Wraps `inner`, sleeping injected spikes on `clock`.
-    pub fn with_clock(inner: E, config: ChaosConfig, clock: Arc<dyn Clock>) -> Self {
         assert!(
             config.fail_rate >= 0.0
                 && config.nan_rate >= 0.0
-                && config.spike_rate >= 0.0
-                && config.fail_rate + config.nan_rate + config.spike_rate <= 1.0,
+                && config.fail_rate + config.nan_rate <= 1.0,
             "fault rates must be non-negative and sum to at most 1"
         );
         ChaosEvaluator {
             inner,
             config,
-            clock,
             calls: AtomicU64::new(0),
-            injected: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+            injected: [AtomicU64::new(0), AtomicU64::new(0)],
         }
     }
 
@@ -609,12 +150,11 @@ impl<E: Evaluator> ChaosEvaluator<E> {
         self.calls.load(Ordering::Relaxed)
     }
 
-    /// Injected fault counts `[non_convergence, nan, spike]`.
-    pub fn injected(&self) -> [u64; 3] {
+    /// Injected fault counts `[non_convergence, nan]`.
+    pub fn injected(&self) -> [u64; 2] {
         [
             self.injected[0].load(Ordering::Relaxed),
             self.injected[1].load(Ordering::Relaxed),
-            self.injected[2].load(Ordering::Relaxed),
         ]
     }
 
@@ -628,7 +168,12 @@ impl<E: Evaluator> ChaosEvaluator<E> {
         })
     }
 
-    fn apply(&self, fault: Option<ChaosFault>, query: &Query) -> Result<Eval, CoreError> {
+    /// Applies `fault` to the inner evaluator's `answer`.
+    fn inject(
+        &self,
+        fault: Option<ChaosFault>,
+        answer: impl FnOnce() -> Result<Eval, CoreError>,
+    ) -> Result<Eval, CoreError> {
         match fault {
             Some(ChaosFault::NonConvergence) => {
                 self.injected[0].fetch_add(1, Ordering::Relaxed);
@@ -636,16 +181,12 @@ impl<E: Evaluator> ChaosEvaluator<E> {
             }
             Some(ChaosFault::NanOutput) => {
                 self.injected[1].fetch_add(1, Ordering::Relaxed);
-                let mut eval = self.inner.evaluate(query)?;
-                eval.vout = Volts(f64::NAN);
-                Ok(eval)
+                answer().map(|mut eval| {
+                    eval.vout = Volts(f64::NAN);
+                    eval
+                })
             }
-            Some(ChaosFault::LatencySpike) => {
-                self.injected[2].fetch_add(1, Ordering::Relaxed);
-                self.clock.sleep_ns(self.config.spike_ns);
-                self.inner.evaluate(query)
-            }
-            None => self.inner.evaluate(query),
+            None => answer(),
         }
     }
 }
@@ -666,51 +207,35 @@ impl<E: Evaluator> Evaluator for ChaosEvaluator<E> {
 
     fn evaluate(&self, query: &Query) -> Result<Eval, CoreError> {
         let index = self.calls.fetch_add(1, Ordering::Relaxed);
-        self.apply(chaos_fault_at(&self.config, index), query)
+        self.inject(chaos_fault_at(&self.config, index), || {
+            self.inner.evaluate(query)
+        })
     }
 
     fn evaluate_batch(&self, queries: &[Query]) -> Vec<Result<Eval, CoreError>> {
-        // Reserve one injection index per query, then route the clean
-        // subset through the inner evaluator's batched path.
+        // Reserve one injection index per query, then route the subset
+        // that is not forced to fail through the inner batched path.
         let base = self
             .calls
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
         let faults: Vec<Option<ChaosFault>> = (0..queries.len() as u64)
             .map(|i| chaos_fault_at(&self.config, base + i))
             .collect();
-        let pass: Vec<usize> = faults
+        let pass_queries: Vec<Query> = queries
             .iter()
-            .enumerate()
-            .filter(|(_, f)| !matches!(f, Some(ChaosFault::NonConvergence)))
-            .map(|(i, _)| i)
+            .zip(&faults)
+            .filter(|(_, f)| **f != Some(ChaosFault::NonConvergence))
+            .map(|(q, _)| q.clone())
             .collect();
-        let pass_queries: Vec<Query> = pass.iter().map(|&i| queries[i].clone()).collect();
         let mut computed = self.inner.evaluate_batch(&pass_queries).into_iter();
-        let mut out = Vec::with_capacity(queries.len());
-        for fault in &faults {
-            match fault {
-                Some(ChaosFault::NonConvergence) => {
-                    self.injected[0].fetch_add(1, Ordering::Relaxed);
-                    out.push(Err(Self::forced_error()));
-                }
-                Some(ChaosFault::NanOutput) => {
-                    self.injected[1].fetch_add(1, Ordering::Relaxed);
-                    out.push(computed.next().expect("one result per passed query").map(
-                        |mut eval| {
-                            eval.vout = Volts(f64::NAN);
-                            eval
-                        },
-                    ));
-                }
-                Some(ChaosFault::LatencySpike) => {
-                    self.injected[2].fetch_add(1, Ordering::Relaxed);
-                    self.clock.sleep_ns(self.config.spike_ns);
-                    out.push(computed.next().expect("one result per passed query"));
-                }
-                None => out.push(computed.next().expect("one result per passed query")),
-            }
-        }
-        out
+        faults
+            .into_iter()
+            .map(|fault| {
+                self.inject(fault, || {
+                    computed.next().expect("one result per passed query")
+                })
+            })
+            .collect()
     }
 }
 
@@ -720,91 +245,11 @@ mod tests {
     use crate::eval::AnalyticEvaluator;
 
     #[test]
-    fn manual_clock_advances_on_sleep() {
-        let c = ManualClock::at(10);
-        assert_eq!(c.now_ns(), 10);
-        c.sleep_ns(5);
-        c.advance(1);
-        assert_eq!(c.now_ns(), 16);
-    }
-
-    #[test]
-    fn monotonic_clock_moves_forward() {
-        let c = MonotonicClock::new();
-        let a = c.now_ns();
-        let b = c.now_ns();
-        assert!(b >= a);
-    }
-
-    fn tight_breaker() -> CircuitBreaker {
-        CircuitBreaker::new(BreakerConfig {
-            window: 4,
-            failure_rate: 0.5,
-            min_samples: 2,
-            cooldown_ns: 100,
-            half_open_probes: 2,
-        })
-    }
-
-    #[test]
-    fn breaker_trips_cools_down_and_recovers() {
-        let b = tight_breaker();
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.record(true, 0).is_none(), "below min_samples");
-        let t = b.record(true, 1).expect("trips at 2 failures / 2 samples");
-        assert_eq!(t.to, BreakerState::Open);
-        assert!((t.failure_rate - 1.0).abs() < 1e-12);
-        assert_eq!(b.trips(), 1);
-
-        // Rejected during cooldown.
-        assert!(!b.allow(50).0);
-        // Probe admitted after the cooldown.
-        let (ok, trans) = b.allow(101);
-        assert!(ok);
-        assert_eq!(trans.unwrap().to, BreakerState::HalfOpen);
-        // Two good probes close it.
-        assert!(b.record(false, 102).is_none());
-        let t = b.record(false, 103).unwrap();
-        assert_eq!(t.to, BreakerState::Closed);
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn failed_probe_reopens() {
-        let b = tight_breaker();
-        b.record(true, 0);
-        b.record(true, 1);
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(b.allow(200).0);
-        let t = b.record(true, 201).unwrap();
-        assert_eq!(t.from, BreakerState::HalfOpen);
-        assert_eq!(t.to, BreakerState::Open);
-        assert_eq!(b.trips(), 2);
-        // The fresh open period starts at the probe failure.
-        assert!(!b.allow(250).0);
-        assert!(b.allow(301).0);
-    }
-
-    #[test]
-    fn successes_keep_the_breaker_closed() {
-        let b = tight_breaker();
-        for i in 0..100 {
-            assert!(b.record(false, i).is_none());
-            assert!(b.allow(i).0);
-        }
-        // A sparse failure in a healthy window does not trip.
-        assert!(b.record(true, 100).is_none());
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
     fn chaos_schedule_is_pure_and_matches_wrapper() {
         let config = ChaosConfig {
             seed: 42,
             fail_rate: 0.2,
             nan_rate: 0.1,
-            spike_rate: 0.1,
-            spike_ns: 5,
         };
         let schedule: Vec<Option<ChaosFault>> =
             (0..200).map(|i| chaos_fault_at(&config, i)).collect();
@@ -814,14 +259,12 @@ mod tests {
                 .map(|i| chaos_fault_at(&config, i))
                 .collect::<Vec<_>>()
         );
-        // All three faults occur at these rates over 200 draws.
+        // Both faults occur at these rates over 200 draws.
         assert!(schedule.contains(&Some(ChaosFault::NonConvergence)));
         assert!(schedule.contains(&Some(ChaosFault::NanOutput)));
-        assert!(schedule.contains(&Some(ChaosFault::LatencySpike)));
         assert!(schedule.contains(&None));
 
-        let clock = Arc::new(ManualClock::new());
-        let chaos = ChaosEvaluator::with_clock(AnalyticEvaluator::paper(), config, clock.clone());
+        let chaos = ChaosEvaluator::new(AnalyticEvaluator::paper(), config);
         let q = Query::from_raw(&[0.5, 0.5], &[7, 7], 3).unwrap();
         for expected in &schedule {
             let got = chaos.evaluate(&q);
@@ -833,14 +276,9 @@ mod tests {
                 Some(ChaosFault::NanOutput) => {
                     assert!(got.unwrap().vout.value().is_nan());
                 }
-                _ => assert!(got.unwrap().vout.value().is_finite()),
+                None => assert!(got.unwrap().vout.value().is_finite()),
             }
         }
-        let spikes = schedule
-            .iter()
-            .filter(|f| matches!(f, Some(ChaosFault::LatencySpike)))
-            .count() as u64;
-        assert_eq!(clock.now_ns(), spikes * 5, "spikes slept on the clock");
         assert_eq!(chaos.calls(), 200);
     }
 
@@ -850,15 +288,14 @@ mod tests {
             seed: 7,
             fail_rate: 0.3,
             nan_rate: 0.1,
-            spike_rate: 0.0,
-            spike_ns: 0,
         };
         let qs: Vec<Query> = (0..50)
             .map(|i| Query::from_raw(&[i as f64 / 49.0, 0.5], &[7, 3], 3).unwrap())
             .collect();
         let single = ChaosEvaluator::new(AnalyticEvaluator::paper(), config);
         let singles: Vec<_> = qs.iter().map(|q| single.evaluate(q)).collect();
-        let batched = ChaosEvaluator::new(AnalyticEvaluator::paper(), config).evaluate_batch(&qs);
+        let batch = ChaosEvaluator::new(AnalyticEvaluator::paper(), config);
+        let batched = batch.evaluate_batch(&qs);
         for (s, b) in singles.iter().zip(&batched) {
             match (s, b) {
                 (Ok(a), Ok(c)) => {
@@ -870,6 +307,7 @@ mod tests {
                 other => panic!("schedule mismatch: {other:?}"),
             }
         }
+        assert_eq!(single.injected(), batch.injected());
     }
 
     #[test]
@@ -881,6 +319,6 @@ mod tests {
             chaos.evaluate(&q).unwrap().vout,
             clean.evaluate(&q).unwrap().vout
         );
-        assert_eq!(chaos.injected(), [0, 0, 0]);
+        assert_eq!(chaos.injected(), [0, 0]);
     }
 }

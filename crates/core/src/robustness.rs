@@ -216,48 +216,6 @@ fn corner_vout(tech: &Technology, query: &Query, spec: &VariationSpec, rng: &mut
         .value()
 }
 
-/// Superseded spelling of [`switch_corner_monte_carlo`] over raw slices.
-///
-/// # Panics
-///
-/// Panics if `trials == 0` or the raw inputs are out of range.
-#[deprecated(note = "build a `Query` and call `switch_corner_monte_carlo`")]
-#[allow(clippy::too_many_arguments)]
-pub fn adder_vout_monte_carlo(
-    tech: &Technology,
-    duties: &[f64],
-    weights: &[u32],
-    bits: u32,
-    spec: &VariationSpec,
-    trials: usize,
-    seed: u64,
-) -> McSummary {
-    let query = Query::from_raw(duties, weights, bits).expect("raw inputs in range");
-    switch_corner_monte_carlo(tech, &query, spec, trials, seed)
-}
-
-/// Superseded spelling of [`switch_corner_monte_carlo_observed`] over raw
-/// slices.
-///
-/// # Panics
-///
-/// Panics if `trials == 0` or the raw inputs are out of range.
-#[deprecated(note = "build a `Query` and call `switch_corner_monte_carlo_observed`")]
-#[allow(clippy::too_many_arguments)]
-pub fn adder_vout_monte_carlo_observed(
-    tech: &Technology,
-    duties: &[f64],
-    weights: &[u32],
-    bits: u32,
-    spec: &VariationSpec,
-    trials: usize,
-    seed: u64,
-    observer: &mut dyn mssim::telemetry::Observer,
-) -> McSummary {
-    let query = Query::from_raw(duties, weights, bits).expect("raw inputs in range");
-    switch_corner_monte_carlo_observed(tech, &query, spec, trials, seed, observer)
-}
-
 /// Output voltage across a frequency sweep (switch-level) — supports the
 /// paper's statement that Table II is unaffected from 1 MHz to 1 GHz.
 pub fn vout_vs_frequency(
@@ -374,18 +332,6 @@ mod tests {
         assert_eq!(plain.samples, observed.samples);
         assert_eq!(rec.counter_value("sweep.points"), 8);
         assert_eq!(rec.histogram_values("sweep.wall_ns").len(), 8);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_raw_slice_wrappers_are_bitwise_identical() {
-        let tech = Technology::umc65_like();
-        let spec = VariationSpec::typical_65nm();
-        let duties = [0.2, 0.6, 0.8];
-        let weights = [5, 6, 7];
-        let old = adder_vout_monte_carlo(&tech, &duties, &weights, 3, &spec, 16, 7);
-        let new = switch_corner_monte_carlo(&tech, &query(&duties, &weights), &spec, 16, 7);
-        assert_eq!(old.samples, new.samples);
     }
 
     #[test]

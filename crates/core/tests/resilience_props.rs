@@ -1,221 +1,250 @@
-//! Property-based tests of the resilience layer: the circuit breaker's
-//! state machine admits only legal transitions under arbitrary outcome
-//! sequences and clock advances, and the chaos evaluator's injection
-//! schedule is a pure function of its seed.
+//! Property-based tests of the demotion ladder: over a tier that fails
+//! deterministically on a chosen set of queries, every answer is `Ok` and
+//! finite, each one comes bit for bit from the tier the ladder says
+//! served it, degraded answers are never memoized, and the batched path
+//! agrees with the single-query path slot for slot. The chaos
+//! evaluator's injection schedule is a pure function of its seed.
 
+use mssim::prelude::Volts;
 use proptest::prelude::*;
+use pwm_perceptron::infer::{ANALYTIC_ERROR_BOUND, SWITCH_ERROR_BOUND};
 use pwm_perceptron::prelude::*;
 
-/// One scripted interaction with the breaker.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// `allow(now)` — may transition open → half-open.
-    Allow,
-    /// `record(failed, now)` — may trip or close.
-    Record { failed: bool },
-    /// Advance the clock.
-    Advance { ns: u64 },
+/// How a tier fails on one query.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fault {
+    /// A transient solver non-convergence.
+    NonConvergence,
+    /// A NaN output voltage.
+    Nan,
 }
 
-/// Raw op encoding for proptest's tuple strategies: (kind 0..3, flag,
-/// advance amount).
-type RawOp = (u8, bool, u64);
-
-fn decode(raw: RawOp) -> Op {
-    match raw.0 % 3 {
-        0 => Op::Allow,
-        1 => Op::Record { failed: raw.1 },
-        _ => Op::Advance { ns: raw.2 },
+impl Fault {
+    fn from_code(code: u8) -> Option<Fault> {
+        match code % 3 {
+            0 => None,
+            1 => Some(Fault::NonConvergence),
+            _ => Some(Fault::Nan),
+        }
     }
 }
 
-fn config() -> BreakerConfig {
-    BreakerConfig {
-        window: 8,
-        failure_rate: 0.5,
-        min_samples: 3,
-        cooldown_ns: 500,
-        half_open_probes: 2,
+/// A tier that answers like `clean` except on the queries listed in
+/// `faults`, where it fails every time — keyed on the query, like the
+/// shipped tiers, which are deterministic functions of the query.
+#[derive(Debug, Clone)]
+struct FaultyTier<E> {
+    clean: E,
+    pose_as: Tier,
+    faults: Vec<(Query, Fault)>,
+}
+
+impl<E: Evaluator> FaultyTier<E> {
+    fn fault_on(&self, query: &Query) -> Option<Fault> {
+        self.faults
+            .iter()
+            .find(|(q, _)| q == query)
+            .map(|&(_, fault)| fault)
     }
+}
+
+impl<E: Evaluator> Evaluator for FaultyTier<E> {
+    fn vout(&self, duties: &[DutyCycle], weights: &WeightVector) -> Result<Volts, CoreError> {
+        let query = Query::new(duties.to_vec(), weights.clone())?;
+        match self.fault_on(&query) {
+            Some(Fault::NonConvergence) => {
+                Err(CoreError::Simulation(mssim::Error::NonConvergence {
+                    analysis: "transient",
+                    time: 0.0,
+                    iterations: 0,
+                    stage: "injected",
+                    attempts: 0,
+                }))
+            }
+            Some(Fault::Nan) => Ok(Volts(f64::NAN)),
+            None => self.clean.vout(duties, weights),
+        }
+    }
+
+    fn vdd(&self) -> Volts {
+        self.clean.vdd()
+    }
+
+    fn tier(&self) -> Tier {
+        self.pose_as
+    }
+}
+
+/// The query of duty levels `(a, b, c)` on the 16-level grid, so the
+/// engine's cache quantization is the identity.
+fn grid_query((a, b, c): (u32, u32, u32)) -> Query {
+    Query::from_raw(
+        &[a as f64 / 15.0, b as f64 / 15.0, c as f64 / 15.0],
+        &[7, 5, 3],
+        3,
+    )
+    .unwrap()
+}
+
+/// A pool of grid queries with a fault code each, and a stream of picks
+/// into the pool (so queries repeat and the cache is exercised).
+type Pool = Vec<((u32, u32, u32), u8)>;
+
+fn faults_of(pool: &Pool, code_of: impl Fn(u8) -> u8) -> Vec<(Query, Fault)> {
+    pool.iter()
+        .filter_map(|&(duties, code)| {
+            Fault::from_code(code_of(code)).map(|fault| (grid_query(duties), fault))
+        })
+        .collect()
+}
+
+fn stream_of(pool: &Pool, picks: &[usize]) -> Vec<Query> {
+    picks
+        .iter()
+        .map(|&i| grid_query(pool[i % pool.len()].0))
+        .collect()
+}
+
+/// Single and batched answers agree on everything but `cached` (a batch
+/// deduplicates repeats instead of serving them from the cache).
+fn same_answer(a: &Eval, b: &Eval) -> bool {
+    a.vout.value().to_bits() == b.vout.value().to_bits()
+        && a.tier == b.tier
+        && a.degraded == b.degraded
+        && a.error_bound.to_bits() == b.error_bound.to_bits()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Under any op sequence: every transition is one of the four legal
-    /// edges, the breaker never admits a call while open before its
-    /// cooldown has elapsed, and it never flaps open without a recorded
-    /// failure.
+    /// Switch-level tier over the analytic fallback: the two-rung ladder.
     #[test]
-    fn breaker_state_machine_admits_only_legal_transitions(
-        raws in prop::collection::vec((0u8..3, any::<bool>(), 0u64..400), 1..200),
+    fn ladder_serves_every_query_from_the_right_tier(
+        pool in prop::collection::vec(((0u32..16, 0u32..16, 0u32..16), 0u8..3), 1..8),
+        picks in prop::collection::vec(0usize..64, 1..32),
     ) {
-        let cfg = config();
-        let breaker = CircuitBreaker::new(cfg);
-        let mut now: u64 = 0;
-        let mut opened_at: Option<u64> = None;
-        let mut state = BreakerState::Closed;
-        for raw in raws {
-            match decode(raw) {
-                Op::Advance { ns } => now += ns,
-                Op::Allow => {
-                    let (admitted, transition) = breaker.allow(now);
-                    match transition {
-                        None => {
-                            // Without a transition, admission mirrors the
-                            // pre-call state.
-                            prop_assert_eq!(admitted, state != BreakerState::Open);
-                            if state == BreakerState::Open {
-                                let opened = opened_at.expect("open state has a trip time");
-                                prop_assert!(
-                                    now.saturating_sub(opened) < cfg.cooldown_ns,
-                                    "an open breaker past its cooldown must probe"
-                                );
-                            }
-                        }
-                        Some(t) => {
-                            // allow() only performs open → half-open, only
-                            // after the cooldown, and admits the probe.
-                            prop_assert_eq!(t.from, BreakerState::Open);
-                            prop_assert_eq!(t.to, BreakerState::HalfOpen);
-                            prop_assert_eq!(state, BreakerState::Open);
-                            let opened = opened_at.expect("open state has a trip time");
-                            prop_assert!(now.saturating_sub(opened) >= cfg.cooldown_ns);
-                            prop_assert!(admitted);
-                            state = BreakerState::HalfOpen;
-                        }
-                    }
-                }
-                Op::Record { failed } => {
-                    let before = state;
-                    match breaker.record(failed, now) {
-                        None => {
-                            // No transition: the state is unchanged.
-                            prop_assert_eq!(breaker.state(), before);
-                        }
-                        Some(t) => {
-                            prop_assert_eq!(t.from, before);
-                            match (t.from, t.to) {
-                                (BreakerState::Closed, BreakerState::Open)
-                                | (BreakerState::HalfOpen, BreakerState::Open) => {
-                                    // Trips require an actual failure.
-                                    prop_assert!(failed, "a success never opens the breaker");
-                                    prop_assert!(t.failure_rate >= cfg.failure_rate);
-                                    opened_at = Some(now);
-                                }
-                                (BreakerState::HalfOpen, BreakerState::Closed) => {
-                                    prop_assert!(!failed, "a failure never closes the breaker");
-                                }
-                                edge => {
-                                    prop_assert!(false, "illegal transition {:?}", edge);
-                                }
-                            }
-                            state = t.to;
-                        }
-                    }
-                    prop_assert_eq!(breaker.state(), state);
-                }
+        let tier = FaultyTier {
+            clean: SwitchLevelEvaluator::paper(),
+            pose_as: Tier::SwitchLevel,
+            faults: faults_of(&pool, |code| code),
+        };
+        let engine = || {
+            InferenceEngine::paper()
+                .with_switch_tier(tier.clone())
+                .with_policy(TierPolicy::switch_level())
+                .with_cache(16, 1024)
+        };
+        let stream = stream_of(&pool, &picks);
+        let clean = SwitchLevelEvaluator::paper();
+        let analytic = AnalyticEvaluator::paper();
+
+        let single = engine();
+        let mut seen: Vec<&Query> = Vec::new();
+        let mut answers = Vec::with_capacity(stream.len());
+        for q in &stream {
+            let eval = single.evaluate(q).unwrap();
+            prop_assert!(eval.vout.value().is_finite());
+            if tier.fault_on(q).is_some() {
+                prop_assert!(eval.degraded);
+                prop_assert!(!eval.cached, "a degraded answer is never memoized");
+                prop_assert_eq!(eval.tier, Tier::Analytic);
+                prop_assert_eq!(eval.error_bound, ANALYTIC_ERROR_BOUND);
+                prop_assert_eq!(
+                    eval.vout.value().to_bits(),
+                    analytic.evaluate(q).unwrap().vout.value().to_bits()
+                );
+            } else {
+                prop_assert!(!eval.degraded);
+                prop_assert_eq!(eval.tier, Tier::SwitchLevel);
+                prop_assert_eq!(eval.error_bound, 0.0);
+                prop_assert_eq!(eval.cached, seen.contains(&q), "clean repeats hit the cache");
+                prop_assert_eq!(
+                    eval.vout.value().to_bits(),
+                    clean.evaluate(q).unwrap().vout.value().to_bits()
+                );
+            }
+            seen.push(q);
+            answers.push(eval);
+        }
+        let faulty = stream.iter().filter(|q| tier.fault_on(q).is_some()).count() as u64;
+        prop_assert_eq!(single.resilience_stats().degraded_served, faulty);
+
+        // A cold and a warm engine batch the stream exactly as the
+        // single-query path served it.
+        for batched in [engine().evaluate_batch(&stream), single.evaluate_batch(&stream)] {
+            prop_assert_eq!(batched.len(), answers.len());
+            for (b, s) in batched.iter().zip(&answers) {
+                let b = b.as_ref().unwrap();
+                prop_assert!(same_answer(b, s), "batch {:?} vs single {:?}", b, s);
+                prop_assert!(!(b.degraded && b.cached));
             }
         }
     }
 
-    /// The breaker is deterministic: the same op script replayed against
-    /// a fresh breaker yields the identical state/trip trajectory.
+    /// Circuit over switch-level over analytic: a query the circuit tier
+    /// fails is answered by the switch-level tier with its bound, and one
+    /// both fail by the analytic tier, in single and batched serving.
     #[test]
-    fn breaker_is_deterministic(
-        raws in prop::collection::vec((0u8..3, any::<bool>(), 0u64..400), 1..200),
+    fn three_rung_ladder_stops_at_the_first_tier_that_answers(
+        pool in prop::collection::vec(((0u32..16, 0u32..16, 0u32..16), 0u8..9), 1..8),
+        picks in prop::collection::vec(0usize..64, 1..24),
     ) {
-        let run = || {
-            let breaker = CircuitBreaker::new(config());
-            let mut now: u64 = 0;
-            let mut trace: Vec<(BreakerState, u64)> = Vec::new();
-            for &raw in &raws {
-                match decode(raw) {
-                    Op::Advance { ns } => now += ns,
-                    Op::Allow => {
-                        let _ = breaker.allow(now);
-                    }
-                    Op::Record { failed } => {
-                        let _ = breaker.record(failed, now);
-                    }
-                }
-                trace.push((breaker.state(), breaker.trips()));
-            }
-            trace
+        // Pose the analytic closed form as the circuit tier: the ladder
+        // only cares which tier is configured where.
+        let circuit = FaultyTier {
+            clean: AnalyticEvaluator::new(Volts(2.4)),
+            pose_as: Tier::Circuit,
+            faults: faults_of(&pool, |code| code % 3),
         };
-        prop_assert_eq!(run(), run());
+        let switch = FaultyTier {
+            clean: SwitchLevelEvaluator::paper(),
+            pose_as: Tier::SwitchLevel,
+            faults: faults_of(&pool, |code| code / 3),
+        };
+        let engine = InferenceEngine::paper()
+            .with_switch_tier(switch.clone())
+            .with_circuit_tier(circuit.clone())
+            .with_policy(TierPolicy::circuit())
+            .with_cache(16, 1024);
+        let stream = stream_of(&pool, &picks);
+        let mut answers = Vec::with_capacity(stream.len());
+        for q in &stream {
+            let eval = engine.evaluate(q).unwrap();
+            let (tier, want, bound) = match (circuit.fault_on(q), switch.fault_on(q)) {
+                (None, _) => (Tier::Circuit, circuit.clean.evaluate(q), 0.0),
+                (Some(_), None) => (Tier::SwitchLevel, switch.clean.evaluate(q), SWITCH_ERROR_BOUND),
+                (Some(_), Some(_)) => {
+                    (Tier::Analytic, AnalyticEvaluator::paper().evaluate(q), ANALYTIC_ERROR_BOUND)
+                }
+            };
+            prop_assert_eq!(eval.tier, tier);
+            prop_assert_eq!(eval.degraded, tier != Tier::Circuit);
+            prop_assert_eq!(eval.error_bound, bound);
+            prop_assert_eq!(
+                eval.vout.value().to_bits(),
+                want.unwrap().vout.value().to_bits()
+            );
+            answers.push(eval);
+        }
+        for (b, s) in engine.evaluate_batch(&stream).iter().zip(&answers) {
+            let b = b.as_ref().unwrap();
+            prop_assert!(same_answer(b, s), "batch {:?} vs single {:?}", b, s);
+        }
     }
 
     /// The chaos schedule is pure: any (seed, index) draws the same fault
-    /// on every evaluation, and distinct seeds are genuinely different
-    /// schedules (checked in aggregate).
+    /// on every evaluation.
     #[test]
     fn chaos_schedule_is_reproducible(seed in any::<u64>(), len in 1usize..300) {
         let cfg = ChaosConfig {
             seed,
             fail_rate: 0.2,
             nan_rate: 0.1,
-            spike_rate: 0.1,
-            spike_ns: 10,
         };
         let a: Vec<Option<ChaosFault>> =
             (0..len as u64).map(|i| chaos_fault_at(&cfg, i)).collect();
         let b: Vec<Option<ChaosFault>> =
             (0..len as u64).map(|i| chaos_fault_at(&cfg, i)).collect();
         prop_assert_eq!(a, b);
-    }
-
-    /// A resilient engine over a chaotic switch tier never returns an
-    /// error or a non-finite voltage — every injected fault is retried or
-    /// degraded to the analytic closed form, and degraded answers carry
-    /// the certified bound.
-    #[test]
-    fn chaotic_serving_always_answers_finite(
-        seed in any::<u64>(),
-        duty_raw in prop::collection::vec((0u32..16, 0u32..16, 0u32..16), 1..24),
-    ) {
-        let clock = std::sync::Arc::new(ManualClock::new());
-        let chaos = ChaosEvaluator::with_clock(
-            AnalyticEvaluator::paper(),
-            ChaosConfig {
-                seed,
-                fail_rate: 0.3,
-                nan_rate: 0.1,
-                spike_rate: 0.0,
-                spike_ns: 0,
-            },
-            clock.clone(),
-        );
-        // Pose the chaotic evaluator as the switch tier (its inner tier
-        // is analytic, but the ladder only cares about configuration).
-        let engine = InferenceEngine::paper()
-            .with_switch_tier(chaos)
-            .with_policy(TierPolicy::switch_level())
-            .with_resilience_clock(ResiliencePolicy::new().with_attempts(2), clock);
-        let queries: Vec<Query> = duty_raw
-            .iter()
-            .map(|&(a, b, c)| {
-                Query::from_raw(
-                    &[a as f64 / 15.0, b as f64 / 15.0, c as f64 / 15.0],
-                    &[7, 5, 3],
-                    3,
-                )
-                .unwrap()
-            })
-            .collect();
-        for q in &queries {
-            let eval = engine.evaluate(q).unwrap();
-            prop_assert!(eval.vout.value().is_finite());
-            if eval.degraded {
-                prop_assert!(eval.error_bound > 0.0);
-            } else {
-                prop_assert_eq!(eval.error_bound, 0.0);
-            }
-        }
-        // The batched path obeys the same invariant.
-        for r in engine.evaluate_batch(&queries) {
-            let eval = r.unwrap();
-            prop_assert!(eval.vout.value().is_finite());
-        }
     }
 }

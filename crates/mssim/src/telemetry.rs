@@ -51,7 +51,7 @@ use crate::error::Error;
 use crate::netlist::Circuit;
 
 /// Schema identifier written as the first line of every JSONL trace.
-pub const TRACE_SCHEMA: &str = "mssim-trace-v1";
+pub const TRACE_SCHEMA: &str = "mssim-trace-v2";
 
 /// Public snapshot of the plan solver's work counters.
 ///
@@ -268,33 +268,16 @@ pub enum Event {
         /// Faults left for the transient/rescue pipeline.
         simulated: usize,
     },
-    /// A serving-layer circuit breaker changed state (see the resilience
-    /// layer in the perceptron crate): `closed` → `open` when the rolling
-    /// failure rate trips, `open` → `half_open` after the cooldown,
-    /// `half_open` → `closed`/`open` depending on the probe verdicts.
-    ResilienceTrip {
-        /// Fidelity tier the breaker guards (`"analytic"`,
-        /// `"switch-level"`, `"circuit"`).
-        tier: &'static str,
-        /// State before the transition.
-        from: &'static str,
-        /// State after the transition (`"closed"`, `"open"`,
-        /// `"half_open"`).
-        to: &'static str,
-        /// Rolling-window failure rate observed at the transition.
-        failure_rate: f64,
-    },
     /// A serving engine answered a query from a cheaper tier than the
-    /// policy demanded — the answer was served flagged `degraded` with a
-    /// certified error bound instead of failing the query.
+    /// policy demanded, because the demanded tier failed — the answer was
+    /// served flagged `degraded` with a certified error bound instead of
+    /// failing the query.
     Degraded {
-        /// Tier the policy demanded.
+        /// Tier the policy demanded (`"analytic"`, `"switch-level"`,
+        /// `"circuit"`).
         demanded: &'static str,
         /// Tier that actually answered.
         served: &'static str,
-        /// Why the ladder demoted: `"failure"`, `"timeout"` or
-        /// `"breaker_open"`.
-        reason: &'static str,
         /// Certified |served − reference| bound in volts.
         error_bound: f64,
     },
@@ -378,10 +361,7 @@ impl<T: Observer + ?Sized> Observer for &mut T {
 /// * `infer.queries`, `infer.cache_hits`, `infer.cache_misses`,
 ///   `infer.cache_evictions`, `infer.tier_analytic`,
 ///   `infer.tier_switch_level`, `infer.tier_circuit`
-/// * `resil.breaker_transitions`, `resil.breaker_open`,
-///   `resil.breaker_half_open`, `resil.breaker_closed`
-/// * `resil.degraded`, `resil.demote_failure`, `resil.demote_timeout`,
-///   `resil.demote_breaker`, histogram `resil.error_bound`
+/// * `resil.degraded`, histogram `resil.error_bound`
 ///
 /// Public so engines layered on top of `mssim` (e.g. fault-campaign
 /// drivers) can report through the same vocabulary instead of
@@ -472,31 +452,8 @@ pub fn dispatch(obs: &mut dyn Observer, event: &Event) {
             obs.counter("triage.failed", failed as u64);
             obs.counter("triage.simulated", simulated as u64);
         }
-        Event::ResilienceTrip { to, .. } => {
-            obs.counter("resil.breaker_transitions", 1);
-            obs.counter(
-                match to {
-                    "open" => "resil.breaker_open",
-                    "half_open" => "resil.breaker_half_open",
-                    _ => "resil.breaker_closed",
-                },
-                1,
-            );
-        }
-        Event::Degraded {
-            reason,
-            error_bound,
-            ..
-        } => {
+        Event::Degraded { error_bound, .. } => {
             obs.counter("resil.degraded", 1);
-            obs.counter(
-                match reason {
-                    "timeout" => "resil.demote_timeout",
-                    "breaker_open" => "resil.demote_breaker",
-                    _ => "resil.demote_failure",
-                },
-                1,
-            );
             obs.histogram("resil.error_bound", error_bound);
         }
         Event::InferBatch {
@@ -858,26 +815,13 @@ fn event_json(event: &Event) -> String {
                 "{{\"event\":\"fault_triage\",\"universe\":{universe},\"masked\":{masked},\"failed\":{failed},\"simulated\":{simulated}}}"
             ));
         }
-        Event::ResilienceTrip {
-            tier,
-            from,
-            to,
-            failure_rate,
-        } => {
-            s.push_str(&format!(
-                "{{\"event\":\"resilience_trip\",\"tier\":\"{tier}\",\"from\":\"{from}\",\"to\":\"{to}\",\"failure_rate\":"
-            ));
-            push_json_f64(&mut s, failure_rate);
-            s.push('}');
-        }
         Event::Degraded {
             demanded,
             served,
-            reason,
             error_bound,
         } => {
             s.push_str(&format!(
-                "{{\"event\":\"degraded\",\"demanded\":\"{demanded}\",\"served\":\"{served}\",\"reason\":\"{reason}\",\"error_bound\":"
+                "{{\"event\":\"degraded\",\"demanded\":\"{demanded}\",\"served\":\"{served}\",\"error_bound\":"
             ));
             push_json_f64(&mut s, error_bound);
             s.push('}');
@@ -901,7 +845,7 @@ fn event_json(event: &Event) -> String {
 
 /// Schema-versioned JSONL event sink.
 ///
-/// The first line written is a header `{"schema":"mssim-trace-v1"}`; each
+/// The first line written is a header `{"schema":"mssim-trace-v2"}`; each
 /// subsequent line is one event. Counters and histograms are not written —
 /// they are derivable from the event stream by replaying it through the
 /// same dispatcher.
@@ -1178,16 +1122,9 @@ mod tests {
                 switch_level: 2,
                 circuit: 1,
             },
-            Event::ResilienceTrip {
-                tier: "circuit",
-                from: "closed",
-                to: "open",
-                failure_rate: 0.75,
-            },
             Event::Degraded {
                 demanded: "circuit",
                 served: "analytic",
-                reason: "breaker_open",
                 error_bound: 0.05,
             },
             Event::AnalysisEnd {
@@ -1225,10 +1162,7 @@ mod tests {
         assert_eq!(rec.counter_value("infer.tier_analytic"), 7);
         assert_eq!(rec.counter_value("infer.tier_switch_level"), 2);
         assert_eq!(rec.counter_value("infer.tier_circuit"), 1);
-        assert_eq!(rec.counter_value("resil.breaker_transitions"), 1);
-        assert_eq!(rec.counter_value("resil.breaker_open"), 1);
         assert_eq!(rec.counter_value("resil.degraded"), 1);
-        assert_eq!(rec.counter_value("resil.demote_breaker"), 1);
         assert_eq!(rec.histogram_values("resil.error_bound"), &[0.05]);
         assert_eq!(rec.histogram_values("tran.dt"), &[1e-9]);
         assert_eq!(rec.histogram_values("tran.lte"), &[1e-5, 1e-1]);
@@ -1268,14 +1202,9 @@ mod tests {
             text.contains("\"event\":\"rescue_outcome\"")
                 && text.contains("\"attempts\":2,\"recovered\":true")
         );
-        assert!(
-            text.contains("\"event\":\"resilience_trip\"")
-                && text.contains("\"from\":\"closed\",\"to\":\"open\"")
-        );
-        assert!(
-            text.contains("\"event\":\"degraded\"")
-                && text.contains("\"reason\":\"breaker_open\",\"error_bound\":0.05")
-        );
+        assert!(text.contains(
+            "\"event\":\"degraded\",\"demanded\":\"circuit\",\"served\":\"analytic\",\"error_bound\":0.05"
+        ));
     }
 
     #[test]

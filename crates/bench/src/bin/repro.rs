@@ -1007,12 +1007,13 @@ fn bench(tech: &Technology, fast: bool) {
 }
 
 /// Structured-trace smoke run: replays the benchmarked 3×3 and 8×8
-/// switch-level adder transients through a fully instrumented [`Session`]
-/// (memory recorder + summary + JSONL writer fan-out), cross-checks the
-/// event-derived Newton counters against the solver's own end-of-analysis
-/// report, prints the aggregate tables and writes the schema-versioned
-/// trace `results/TRACE_mssim.jsonl`. Exits nonzero on any counter
-/// mismatch, so CI gates on telemetry staying truthful.
+/// switch-level adder transients through a fully instrumented
+/// [`Session`](mssim::Session) (memory recorder + summary + JSONL writer
+/// fan-out), cross-checks the event-derived Newton counters against the
+/// solver's own end-of-analysis report, prints the aggregate tables and
+/// writes the schema-versioned trace `results/TRACE_mssim.jsonl`. Exits
+/// nonzero on any counter mismatch, so CI gates on telemetry staying
+/// truthful.
 fn trace(tech: &Technology) {
     use bench::hotpath::switch_adder_circuit;
     use mssim::prelude::*;
@@ -1425,12 +1426,12 @@ fn triage_table(which: &str, report: &pwm_perceptron::faults::TriageReport) {
 }
 
 /// Load harness for the batched inference engine: serves deterministic
-/// uniform and hot-set query streams through tiered [`InferenceEngine`]
-/// configurations, prints latency/throughput/cache metrics, merges the
-/// `serve` section into `results/BENCH_mssim.json` and gates the
-/// acceptance thresholds (≥10× naive circuit throughput, ≥90 % hot-set
-/// hit rate, zero classification divergences) so CI can fail on
-/// regressions.
+/// uniform and hot-set query streams through tiered
+/// [`InferenceEngine`](pwm_perceptron::InferenceEngine) configurations,
+/// prints latency/throughput/cache metrics, merges the `serve` section
+/// into `results/BENCH_mssim.json` and gates the acceptance thresholds
+/// (≥10× naive circuit throughput, ≥90 % hot-set hit rate, zero
+/// classification divergences) so CI can fail on regressions.
 fn serve(queries: Option<usize>, fast: bool) {
     use bench::serve as sv;
 

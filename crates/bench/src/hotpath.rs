@@ -501,17 +501,15 @@ fn bench_transient(
     steps: usize,
     repeats: usize,
 ) -> HotPathRow {
-    let tran = |reference: bool| {
-        Transient::new(dt, steps as f64 * dt)
-            .use_initial_conditions()
-            .record_every(16)
-            .with_reference_solver(reference)
-    };
+    let tran = Transient::new(dt, steps as f64 * dt)
+        .use_initial_conditions()
+        .record_every(16);
     let plan = Session::new(ckt)
-        .transient(&tran(false))
+        .transient(&tran)
         .expect("plan transient converges");
     let reference = Session::new(ckt)
-        .transient(&tran(true))
+        .with_reference_solver(true)
+        .transient(&tran)
         .expect("reference transient converges");
     let max_abs_diff = waveform_diff(&plan, &reference, probes);
     assert!(
@@ -526,7 +524,7 @@ fn bench_transient(
     let limited = Session::new(ckt)
         .with_device_limiting(true)
         .observe(&mut rec)
-        .transient(&tran(false))
+        .transient(&tran)
         .expect("limited transient converges");
     let limited_max_abs_diff = waveform_diff(&limited, &reference, probes);
     assert!(
@@ -539,12 +537,13 @@ fn bench_transient(
         || {
             Session::new(ckt)
                 .with_device_limiting(true)
-                .transient(&tran(false))
+                .transient(&tran)
                 .expect("limited transient converges")
         },
         || {
             Session::new(ckt)
-                .transient(&tran(true))
+                .with_reference_solver(true)
+                .transient(&tran)
                 .expect("reference transient converges")
         },
     );

@@ -103,46 +103,6 @@ impl Solution for AcResult {
     }
 }
 
-/// Runs an AC sweep with a unit stimulus on `source`.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] if `source` is not a voltage
-/// source, and propagates DC-operating-point and solver errors.
-///
-/// # Examples
-///
-/// An RC low-pass is 3 dB down at its corner frequency:
-///
-/// ```
-/// use mssim::prelude::*;
-///
-/// # fn main() -> Result<(), mssim::Error> {
-/// let mut ckt = Circuit::new();
-/// let vin = ckt.node("in");
-/// let out = ckt.node("out");
-/// let src = ckt.vsource("V1", vin, Circuit::GND, Waveform::dc(0.0));
-/// ckt.resistor("R1", vin, out, 1e3);
-/// ckt.capacitor("C1", out, Circuit::GND, 1e-9);
-/// let fc = 1.0 / (2.0 * std::f64::consts::PI * 1e3 * 1e-9);
-/// let ac = Session::new(&ckt).ac(src, &[fc])?;
-/// let gain_db = ac.magnitude_db(out)[0];
-/// assert!((gain_db + 3.0103).abs() < 0.01);
-/// # Ok(())
-/// # }
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Session::new(&circuit).ac(source, frequencies)` instead"
-)]
-pub fn ac_analysis(
-    circuit: &Circuit,
-    source: ElementId,
-    frequencies: &[f64],
-) -> Result<AcResult, Error> {
-    crate::session::Session::new(circuit).ac(source, frequencies)
-}
-
 pub(crate) fn ac_analysis_impl(
     circuit: &Circuit,
     source: ElementId,

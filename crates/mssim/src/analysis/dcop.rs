@@ -82,39 +82,6 @@ impl Solution for DcSolution {
     }
 }
 
-/// Computes the DC operating point of `circuit`.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidCircuit`] for structurally broken netlists,
-/// [`Error::SingularMatrix`] for under-determined ones, and
-/// [`Error::NonConvergence`] if every continuation strategy fails.
-///
-/// # Examples
-///
-/// ```
-/// use mssim::prelude::*;
-///
-/// # fn main() -> Result<(), mssim::Error> {
-/// let mut ckt = Circuit::new();
-/// let a = ckt.node("a");
-/// let b = ckt.node("b");
-/// ckt.vsource("V1", a, Circuit::GND, Waveform::dc(3.0));
-/// ckt.resistor("R1", a, b, 2e3);
-/// ckt.resistor("R2", b, Circuit::GND, 1e3);
-/// let op = Session::new(&ckt).dc_operating_point()?;
-/// assert!((op.voltage(b) - 1.0).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Session::new(&circuit).dc_operating_point()` instead"
-)]
-pub fn dc_operating_point(circuit: &Circuit) -> Result<DcSolution, Error> {
-    crate::session::Session::new(circuit).dc_operating_point()
-}
-
 /// [`Session::dc_operating_point`](crate::Session::dc_operating_point) on
 /// the naive per-iteration assembler, bypassing the compiled stamp plan.
 /// Kept for golden-equivalence tests and as the benchmark baseline; not

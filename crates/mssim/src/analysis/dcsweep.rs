@@ -82,55 +82,6 @@ impl Solution for DcSweepResult {
     }
 }
 
-/// Sweeps the DC value of `source` through `values`, solving the
-/// operating point at each step.
-///
-/// The source's waveform is temporarily replaced by each DC value; the
-/// circuit is handed in by value to make that explicit (clone it if you
-/// need it afterwards).
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] if `source` is not a voltage
-/// source, and propagates operating-point errors.
-///
-/// # Examples
-///
-/// Locating a CMOS inverter's switching threshold:
-///
-/// ```
-/// use mssim::prelude::*;
-/// use mssim::elements::MosParams;
-/// use mssim::sweep::linspace;
-///
-/// # fn main() -> Result<(), mssim::Error> {
-/// let mut ckt = Circuit::new();
-/// let vdd = ckt.node("vdd");
-/// let g = ckt.node("g");
-/// let out = ckt.node("out");
-/// ckt.vsource("VDD", vdd, Circuit::GND, Waveform::dc(2.5));
-/// let vg = ckt.vsource("VG", g, Circuit::GND, Waveform::dc(0.0));
-/// ckt.mosfet("MP", out, g, vdd, MosParams::pmos(865e-9, 1.2e-6));
-/// ckt.mosfet("MN", out, g, Circuit::GND, MosParams::nmos(320e-9, 1.2e-6));
-/// ckt.resistor("RL", out, Circuit::GND, 10e6);
-/// let sweep = Session::new(&ckt).dc_sweep(vg, &linspace(0.0, 2.5, 51))?;
-/// let vm = sweep.crossing(out, 1.25).expect("inverter switches");
-/// assert!(vm > 0.8 && vm < 1.6);
-/// # Ok(())
-/// # }
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Session::new(&circuit).dc_sweep(source, values)` instead"
-)]
-pub fn dc_sweep(
-    circuit: Circuit,
-    source: ElementId,
-    values: &[f64],
-) -> Result<DcSweepResult, Error> {
-    crate::session::Session::new(&circuit).dc_sweep(source, values)
-}
-
 /// [`Session::dc_sweep`](crate::Session::dc_sweep) on the naive
 /// per-iteration assembler, bypassing the compiled stamp plan. Kept for
 /// golden-equivalence tests and as the benchmark baseline; not part of the

@@ -3,11 +3,9 @@
 //! The analyses share the modified-nodal-analysis assembly and damped
 //! Newton–Raphson kernel (crate-private `mna` module). They are run
 //! through [`Session`](crate::Session), the unified entry point that owns
-//! lint pre-flight, plan compilation and observer registration; the free
-//! functions ([`dc_operating_point`], [`dc_sweep`], [`ac_analysis`],
-//! [`noise_analysis`]) and [`Transient::run`] are deprecated thin wrappers
-//! over it. Every result type implements the common [`Solution`] probing
-//! trait.
+//! lint pre-flight, plan compilation, solver selection and observer
+//! registration; [`Transient::run`] is a deprecated thin wrapper over it.
+//! Every result type implements the common [`Solution`] probing trait.
 
 pub(crate) mod mna;
 pub(crate) mod mos_batch;
@@ -20,20 +18,12 @@ pub(crate) mod noise;
 mod solution;
 pub(crate) mod transient;
 
-#[allow(deprecated)]
-pub use ac::ac_analysis;
 pub use ac::AcResult;
-#[allow(deprecated)]
-pub use dcop::dc_operating_point;
 pub use dcop::{dc_operating_point_reference, DcSolution};
-#[allow(deprecated)]
-pub use dcsweep::dc_sweep;
 pub use dcsweep::{dc_sweep_reference, DcSweepResult};
-#[allow(deprecated)]
-pub use noise::noise_analysis;
 pub use noise::NoiseResult;
 pub use solution::Solution;
 pub use transient::{
-    AdaptiveConfig, IntegrationMethod, RescueIncident, RescuePolicy, RescueReport, Transient,
-    TransientOutcome, TransientResult,
+    IntegrationMethod, RescueIncident, RescuePolicy, RescueReport, Transient, TransientOutcome,
+    TransientResult,
 };

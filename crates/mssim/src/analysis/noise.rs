@@ -97,29 +97,6 @@ impl Solution for NoiseResult {
     }
 }
 
-/// Computes the output-referred noise density at `output` across
-/// `frequencies`. All independent sources are AC-nulled (the circuit's
-/// own devices are the only noise sources).
-///
-/// # Errors
-///
-/// Propagates DC-operating-point and solver errors.
-///
-/// # Panics
-///
-/// Panics if `output` is the ground node.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Session::new(&circuit).noise(output, frequencies)` instead"
-)]
-pub fn noise_analysis(
-    circuit: &Circuit,
-    output: NodeId,
-    frequencies: &[f64],
-) -> Result<NoiseResult, Error> {
-    crate::session::Session::new(circuit).noise(output, frequencies)
-}
-
 pub(crate) fn noise_analysis_impl(
     circuit: &Circuit,
     output: NodeId,

@@ -2,7 +2,7 @@
 //! fault collapsing.
 //!
 //! [`crate::verify`] proves *structural* properties of a compiled
-//! [`StampPlan`] — every op lands in bounds, the sparsity pattern is
+//! `StampPlan` — every op lands in bounds, the sparsity pattern is
 //! solvable, the cache identity is complete. This module adds the
 //! *numeric* layer: it re-executes the same flat op program over
 //! **intervals** instead of floats, with every device parameter widened

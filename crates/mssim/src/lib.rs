@@ -102,9 +102,8 @@ pub use waveform::Waveform;
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::analysis::{
-        AcResult, AdaptiveConfig, DcSolution, DcSweepResult, IntegrationMethod, NoiseResult,
-        RescueIncident, RescuePolicy, RescueReport, Solution, Transient, TransientOutcome,
-        TransientResult,
+        AcResult, DcSolution, DcSweepResult, IntegrationMethod, NoiseResult, RescueIncident,
+        RescuePolicy, RescueReport, Solution, Transient, TransientOutcome, TransientResult,
     };
     pub use crate::analyze::{
         analyze_circuit, collapse_faults, dc_enclosure, plan_key, solve_enclosure, triage_circuit,

@@ -7,20 +7,19 @@
 //! no DC-conductive path to ground is pinned only by the `gmin`
 //! regularisation and converges to a meaningless voltage. All of these
 //! used to surface deep inside an analysis as
-//! [`Error::SingularMatrix`](crate::Error::SingularMatrix) with a bare
-//! pivot-row number.
+//! [`Error::SingularMatrix`] with a bare pivot-row number.
 //!
 //! This module predicts those failures *before* any matrix is assembled
 //! and reports them as structured [`Diagnostic`]s that name the offending
 //! nodes and elements and suggest a fix. Every analysis entry point
-//! ([`dc_operating_point`](crate::analysis::dc_operating_point),
-//! [`dc_sweep`](crate::analysis::dc_sweep),
-//! [`Transient::run`](crate::analysis::Transient::run),
-//! [`ac_analysis`](crate::analysis::ac_analysis),
-//! [`noise_analysis`](crate::analysis::noise_analysis))
+//! ([`Session::dc_operating_point`](crate::Session::dc_operating_point),
+//! [`Session::dc_sweep`](crate::Session::dc_sweep),
+//! [`Session::ac`](crate::Session::ac),
+//! [`Session::noise`](crate::Session::noise),
+//! [`Session::transient`](crate::Session::transient))
 //! runs the lints as a pre-flight and refuses to start while deny-level
 //! diagnostics are present, returning
-//! [`Error::LintRejected`](crate::Error::LintRejected).
+//! [`Error::LintRejected`].
 //!
 //! # Lint codes
 //!

@@ -167,6 +167,24 @@ impl<'c, 'o> Session<'c, 'o> {
     /// Returns [`Error::LintRejected`] for structurally broken netlists,
     /// [`Error::SingularMatrix`] for under-determined ones, and
     /// [`Error::NonConvergence`] if every continuation strategy fails.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mssim::prelude::*;
+    ///
+    /// # fn main() -> Result<(), mssim::Error> {
+    /// let mut ckt = Circuit::new();
+    /// let a = ckt.node("a");
+    /// let b = ckt.node("b");
+    /// ckt.vsource("V1", a, Circuit::GND, Waveform::dc(3.0));
+    /// ckt.resistor("R1", a, b, 2e3);
+    /// ckt.resistor("R2", b, Circuit::GND, 1e3);
+    /// let op = Session::new(&ckt).dc_operating_point()?;
+    /// assert!((op.voltage(b) - 1.0).abs() < 1e-9);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn dc_operating_point(&mut self) -> Result<DcSolution, Error> {
         let sel = self.sel();
         let max_iter = self.dc_max_iter;
@@ -181,6 +199,32 @@ impl<'c, 'o> Session<'c, 'o> {
     ///
     /// Returns [`Error::InvalidParameter`] if `source` is not a voltage
     /// source, and propagates operating-point errors.
+    ///
+    /// # Examples
+    ///
+    /// Locating a CMOS inverter's switching threshold:
+    ///
+    /// ```
+    /// use mssim::prelude::*;
+    /// use mssim::elements::MosParams;
+    /// use mssim::sweep::linspace;
+    ///
+    /// # fn main() -> Result<(), mssim::Error> {
+    /// let mut ckt = Circuit::new();
+    /// let vdd = ckt.node("vdd");
+    /// let g = ckt.node("g");
+    /// let out = ckt.node("out");
+    /// ckt.vsource("VDD", vdd, Circuit::GND, Waveform::dc(2.5));
+    /// let vg = ckt.vsource("VG", g, Circuit::GND, Waveform::dc(0.0));
+    /// ckt.mosfet("MP", out, g, vdd, MosParams::pmos(865e-9, 1.2e-6));
+    /// ckt.mosfet("MN", out, g, Circuit::GND, MosParams::nmos(320e-9, 1.2e-6));
+    /// ckt.resistor("RL", out, Circuit::GND, 10e6);
+    /// let sweep = Session::new(&ckt).dc_sweep(vg, &linspace(0.0, 2.5, 51))?;
+    /// let vm = sweep.crossing(out, 1.25).expect("inverter switches");
+    /// assert!(vm > 0.8 && vm < 1.6);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn dc_sweep(&mut self, source: ElementId, values: &[f64]) -> Result<DcSweepResult, Error> {
         let sel = self.sel();
         let circuit = self.circuit.clone();
@@ -195,6 +239,28 @@ impl<'c, 'o> Session<'c, 'o> {
     ///
     /// Returns [`Error::InvalidParameter`] if `source` is not a voltage
     /// source, and propagates operating-point and solver errors.
+    ///
+    /// # Examples
+    ///
+    /// An RC low-pass is 3 dB down at its corner frequency:
+    ///
+    /// ```
+    /// use mssim::prelude::*;
+    ///
+    /// # fn main() -> Result<(), mssim::Error> {
+    /// let mut ckt = Circuit::new();
+    /// let vin = ckt.node("in");
+    /// let out = ckt.node("out");
+    /// let src = ckt.vsource("V1", vin, Circuit::GND, Waveform::dc(0.0));
+    /// ckt.resistor("R1", vin, out, 1e3);
+    /// ckt.capacitor("C1", out, Circuit::GND, 1e-9);
+    /// let fc = 1.0 / (2.0 * std::f64::consts::PI * 1e3 * 1e-9);
+    /// let ac = Session::new(&ckt).ac(src, &[fc])?;
+    /// let gain_db = ac.magnitude_db(out)[0];
+    /// assert!((gain_db + 3.0103).abs() < 0.01);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn ac(&mut self, source: ElementId, frequencies: &[f64]) -> Result<AcResult, Error> {
         let sel = self.sel();
         ac_analysis_impl(self.circuit, source, frequencies, sel, self.probe())
@@ -240,8 +306,8 @@ impl<'c, 'o> Session<'c, 'o> {
     /// waveform up to the last accepted point plus a structured
     /// [`RescueReport`](crate::analysis::RescueReport). Every rung tried
     /// is emitted to the session observer as
-    /// [`Event::RescueAttempt`](crate::telemetry::Event::RescueAttempt) /
-    /// [`Event::RescueOutcome`](crate::telemetry::Event::RescueOutcome)
+    /// [`Event::RescueAttempt`] /
+    /// [`Event::RescueOutcome`]
     /// telemetry.
     ///
     /// # Errors
@@ -272,7 +338,7 @@ impl<'c, 'o> Session<'c, 'o> {
     /// without running any solve. See [`crate::analyze`].
     ///
     /// An attached observer receives an
-    /// [`Event::AnalyzeReport`](crate::telemetry::Event::AnalyzeReport)
+    /// [`Event::AnalyzeReport`]
     /// summarising the findings.
     pub fn analyze(&mut self) -> AnalyzeReport {
         self.analyze_with(&Ranges::default())

@@ -10,8 +10,8 @@
 //!   times) and typed [`Event`]s,
 //! * instrumentation points threaded through the DC operating-point
 //!   homotopy (gmin/source stepping), the Newton loop (iterations, residual
-//!   norms, plan-cache hits), adaptive transient stepping (accepted and
-//!   rejected steps, LTE, PWM-edge snaps) and the multi-core sweep driver
+//!   norms, plan-cache hits), fixed-step transient stepping (accepted steps
+//!   and the convergence-rescue ladder) and the multi-core sweep driver
 //!   (per-point wall time, steal counts),
 //! * three ready-made sinks: [`MemoryRecorder`] for tests, [`JsonlWriter`]
 //!   for schema-versioned machine-readable traces, and [`Summary`] for a
@@ -51,7 +51,7 @@ use crate::error::Error;
 use crate::netlist::Circuit;
 
 /// Schema identifier written as the first line of every JSONL trace.
-pub const TRACE_SCHEMA: &str = "mssim-trace-v2";
+pub const TRACE_SCHEMA: &str = "mssim-trace-v3";
 
 /// Public snapshot of the plan solver's work counters.
 ///
@@ -164,34 +164,12 @@ pub enum Event {
         /// proxy); `None` on the reference path.
         max_dv: Option<f64>,
     },
-    /// The adaptive transient controller accepted a step.
+    /// The transient stepper accepted a step.
     StepAccepted {
         /// Time at the end of the accepted step.
         time: f64,
         /// Step size taken.
         dt: f64,
-        /// Normalised local truncation error estimate.
-        lte: f64,
-    },
-    /// The adaptive transient controller rejected and halved a step.
-    StepRejected {
-        /// Time the rejected step would have ended at.
-        time: f64,
-        /// Step size rejected.
-        dt: f64,
-        /// Normalised local truncation error estimate that triggered the
-        /// rejection.
-        lte: f64,
-    },
-    /// A step was truncated so the grid lands exactly on a waveform
-    /// breakpoint (PWM edge).
-    EdgeSnap {
-        /// Time at the start of the snapped step.
-        time: f64,
-        /// Truncated step size.
-        dt: f64,
-        /// The breakpoint being snapped to.
-        breakpoint: f64,
     },
     /// The transient convergence-rescue ladder tried to recover a
     /// non-converged time step (see
@@ -349,8 +327,7 @@ impl<T: Observer + ?Sized> Observer for &mut T {
 ///   histogram `newton.max_dv`
 /// * `homotopy.direct_attempts`, `homotopy.gmin_steps`,
 ///   `homotopy.source_steps`
-/// * `tran.steps_accepted`, `tran.steps_rejected`, `tran.edge_snaps`,
-///   histograms `tran.dt`, `tran.lte`
+/// * `tran.steps_accepted`, histogram `tran.dt`
 /// * `tran.rescue_attempts`, `tran.rescue_recoveries`,
 ///   `tran.rescue_exhausted`
 /// * `sweep.points`, histogram `sweep.wall_ns`
@@ -399,17 +376,9 @@ pub fn dispatch(obs: &mut dyn Observer, event: &Event) {
                 1,
             );
         }
-        Event::StepAccepted { dt, lte, .. } => {
+        Event::StepAccepted { dt, .. } => {
             obs.counter("tran.steps_accepted", 1);
             obs.histogram("tran.dt", dt);
-            obs.histogram("tran.lte", lte);
-        }
-        Event::StepRejected { lte, .. } => {
-            obs.counter("tran.steps_rejected", 1);
-            obs.histogram("tran.lte", lte);
-        }
-        Event::EdgeSnap { .. } => {
-            obs.counter("tran.edge_snaps", 1);
         }
         Event::RescueAttempt { .. } => {
             obs.counter("tran.rescue_attempts", 1);
@@ -714,35 +683,11 @@ fn event_json(event: &Event) -> String {
             }
             s.push('}');
         }
-        Event::StepAccepted { time, dt, lte } => {
+        Event::StepAccepted { time, dt } => {
             s.push_str("{\"event\":\"step_accepted\",\"time\":");
             push_json_f64(&mut s, time);
             s.push_str(",\"dt\":");
             push_json_f64(&mut s, dt);
-            s.push_str(",\"lte\":");
-            push_json_f64(&mut s, lte);
-            s.push('}');
-        }
-        Event::StepRejected { time, dt, lte } => {
-            s.push_str("{\"event\":\"step_rejected\",\"time\":");
-            push_json_f64(&mut s, time);
-            s.push_str(",\"dt\":");
-            push_json_f64(&mut s, dt);
-            s.push_str(",\"lte\":");
-            push_json_f64(&mut s, lte);
-            s.push('}');
-        }
-        Event::EdgeSnap {
-            time,
-            dt,
-            breakpoint,
-        } => {
-            s.push_str("{\"event\":\"edge_snap\",\"time\":");
-            push_json_f64(&mut s, time);
-            s.push_str(",\"dt\":");
-            push_json_f64(&mut s, dt);
-            s.push_str(",\"breakpoint\":");
-            push_json_f64(&mut s, breakpoint);
             s.push('}');
         }
         Event::RescueAttempt {
@@ -845,7 +790,7 @@ fn event_json(event: &Event) -> String {
 
 /// Schema-versioned JSONL event sink.
 ///
-/// The first line written is a header `{"schema":"mssim-trace-v2"}`; each
+/// The first line written is a header `{"schema":"mssim-trace-v3"}`; each
 /// subsequent line is one event. Counters and histograms are not written —
 /// they are derivable from the event stream by replaying it through the
 /// same dispatcher.
@@ -1047,17 +992,6 @@ mod tests {
             Event::StepAccepted {
                 time: 2e-9,
                 dt: 1e-9,
-                lte: 1e-5,
-            },
-            Event::StepRejected {
-                time: 3e-9,
-                dt: 1e-9,
-                lte: 1e-1,
-            },
-            Event::EdgeSnap {
-                time: 3e-9,
-                dt: 5e-10,
-                breakpoint: 3.5e-9,
             },
             Event::RescueAttempt {
                 stage: "dt_cut",
@@ -1146,8 +1080,6 @@ mod tests {
         assert_eq!(rec.counter_value("plan.rebases"), 1);
         assert_eq!(rec.counter_value("homotopy.gmin_steps"), 1);
         assert_eq!(rec.counter_value("tran.steps_accepted"), 1);
-        assert_eq!(rec.counter_value("tran.steps_rejected"), 1);
-        assert_eq!(rec.counter_value("tran.edge_snaps"), 1);
         assert_eq!(rec.counter_value("tran.rescue_attempts"), 2);
         assert_eq!(rec.counter_value("tran.rescue_recoveries"), 1);
         assert_eq!(rec.counter_value("tran.rescue_exhausted"), 0);
@@ -1165,7 +1097,6 @@ mod tests {
         assert_eq!(rec.counter_value("resil.degraded"), 1);
         assert_eq!(rec.histogram_values("resil.error_bound"), &[0.05]);
         assert_eq!(rec.histogram_values("tran.dt"), &[1e-9]);
-        assert_eq!(rec.histogram_values("tran.lte"), &[1e-5, 1e-1]);
         assert_eq!(rec.histogram_values("newton.max_dv"), &[0.5]);
         assert_eq!(rec.events().len(), sample_events().len());
     }
@@ -1194,7 +1125,7 @@ mod tests {
         }
         assert!(text.contains("\"event\":\"newton_solve\""));
         assert!(text.contains("\"iterations\":3"));
-        assert!(text.contains("\"breakpoint\":3.5e-9"));
+        assert!(text.contains("\"event\":\"step_accepted\",\"time\":2e-9,\"dt\":1e-9}"));
         assert!(text.contains("\"max_dv\":0.5"));
         assert!(text.contains("\"event\":\"rescue_attempt\""));
         assert!(text.contains("\"stage\":\"dt_cut\""));
@@ -1213,10 +1144,9 @@ mod tests {
         w.event(&Event::StepAccepted {
             time: f64::NAN,
             dt: f64::INFINITY,
-            lte: 0.0,
         });
         let text = String::from_utf8(w.finish().unwrap()).unwrap();
-        assert!(text.contains("\"time\":null,\"dt\":null,\"lte\":0.0"));
+        assert!(text.contains("\"time\":null,\"dt\":null}"));
     }
 
     #[test]

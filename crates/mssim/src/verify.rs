@@ -29,7 +29,7 @@
 //! singular for all numerics — MS020 never denies a solvable circuit.
 //!
 //! **Plan verification (PL001-series).** An abstract interpreter over the
-//! flat stamp programs of [`crate::analysis::plan`] proves four
+//! flat stamp programs of `crate::analysis::plan` proves four
 //! properties per compiled plan: every pre-resolved index is in bounds
 //! (PL001), no atom reads a value from a tier more dynamic than its own
 //! (PL002), every value array a plan reads contributes to the bitwise

@@ -204,9 +204,7 @@ impl Waveform {
     /// over many periods is preserved (up to the glitch contribution).
     ///
     /// The waveform is finite: `jitter.periods` periods are emitted and
-    /// the line parks low afterwards (PWL constant extrapolation). Since
-    /// PWL points are breakpoints, adaptive transient analysis snaps to
-    /// the *jittered* edges, not the nominal ones.
+    /// the line parks low afterwards (PWL constant extrapolation).
     ///
     /// # Panics
     ///
@@ -342,42 +340,6 @@ impl Waveform {
             Waveform::Pulse(p) if p.period > 0.0 => Some(p.period),
             Waveform::Sine { frequency, .. } if *frequency > 0.0 => Some(1.0 / frequency),
             _ => None,
-        }
-    }
-
-    /// The next *breakpoint* strictly after time `t`: an instant where the
-    /// waveform's slope changes discontinuously (pulse corners, PWL
-    /// points). Adaptive transient analysis must not step across these,
-    /// or a whole pulse could be skipped. Smooth waveforms return `None`.
-    pub fn next_breakpoint(&self, t: f64) -> Option<f64> {
-        const EPS_REL: f64 = 1e-12;
-        match self {
-            Waveform::Dc(_) | Waveform::Sine { .. } => None,
-            Waveform::Pulse(p) => {
-                if p.period <= 0.0 {
-                    return None;
-                }
-                let eps = p.period * EPS_REL;
-                // Corners within one period, relative to the delay.
-                let corners = [0.0, p.rise, p.rise + p.width, p.rise + p.width + p.fall];
-                if t < p.delay - eps {
-                    return Some(p.delay);
-                }
-                let base = ((t - p.delay) / p.period).floor() * p.period + p.delay;
-                for cycle in [base, base + p.period] {
-                    for &c in &corners {
-                        let bp = cycle + c;
-                        if bp > t + eps {
-                            return Some(bp);
-                        }
-                    }
-                }
-                None
-            }
-            Waveform::Pwl(points) => points
-                .iter()
-                .map(|&(pt, _)| pt)
-                .find(|&pt| pt > t * (1.0 + EPS_REL) + f64::MIN_POSITIVE),
         }
     }
 }
@@ -549,53 +511,6 @@ mod tests {
         assert_eq!(w, Waveform::Dc(3.3));
     }
 
-    #[test]
-    fn pulse_breakpoints_walk_the_corners() {
-        let p = Pulse {
-            low: 0.0,
-            high: 1.0,
-            delay: 0.0,
-            rise: 0.1,
-            fall: 0.1,
-            width: 0.3,
-            period: 1.0,
-        };
-        let w = Waveform::Pulse(p);
-        let mut t = -0.5;
-        let mut seen = Vec::new();
-        for _ in 0..9 {
-            let bp = w.next_breakpoint(t).expect("pulses always break");
-            assert!(bp > t);
-            seen.push(bp);
-            t = bp;
-        }
-        // Corners of cycle 0 and 1: 0, .1, .4, .5, 1.0, 1.1, 1.4, 1.5, 2.0
-        let expect = [0.0, 0.1, 0.4, 0.5, 1.0, 1.1, 1.4, 1.5, 2.0];
-        for (s, e) in seen.iter().zip(&expect) {
-            assert!((s - e).abs() < 1e-9, "{seen:?}");
-        }
-    }
-
-    #[test]
-    fn breakpoints_respect_delay() {
-        let w = Waveform::Pulse(Pulse {
-            low: 0.0,
-            high: 1.0,
-            delay: 5.0,
-            rise: 0.0,
-            fall: 0.0,
-            width: 0.5,
-            period: 1.0,
-        });
-        assert_eq!(w.next_breakpoint(0.0), Some(5.0));
-    }
-
-    #[test]
-    fn smooth_waveforms_have_no_breakpoints() {
-        assert_eq!(Waveform::dc(1.0).next_breakpoint(0.0), None);
-        assert_eq!(Waveform::sine(0.0, 1.0, 1e3).next_breakpoint(0.0), None);
-    }
-
     /// Time-average of `w` over `[0, t_end]` on a fine uniform grid.
     fn grid_average(w: &Waveform, t_end: f64, n: usize) -> f64 {
         let mut sum = 0.0;
@@ -677,14 +592,5 @@ mod tests {
     #[should_panic(expected = "edge jitter must be in 0.0..0.25")]
     fn jittered_pwm_rejects_wild_jitter() {
         let _ = Waveform::pwm_with_jitter(1.0, 1e6, 0.5, 0.01, &Jitter::edges(0, 0.4, 8));
-    }
-
-    #[test]
-    fn pwl_breakpoints_are_its_points() {
-        let w = Waveform::pwl(vec![(0.0, 0.0), (1.0, 2.0), (3.0, 1.0)]);
-        assert_eq!(w.next_breakpoint(-1.0), Some(0.0));
-        assert_eq!(w.next_breakpoint(0.5), Some(1.0));
-        assert_eq!(w.next_breakpoint(1.0), Some(3.0));
-        assert_eq!(w.next_breakpoint(3.0), None);
     }
 }

@@ -50,17 +50,14 @@ fn limited_divergence(
     steps: usize,
     opts: LimitOpts,
 ) -> f64 {
-    let tran = |reference: bool| {
-        Transient::new(dt, steps as f64 * dt)
-            .use_initial_conditions()
-            .with_reference_solver(reference)
-    };
+    let tran = Transient::new(dt, steps as f64 * dt).use_initial_conditions();
     let limited = Session::new(ckt)
         .with_limit_opts(opts)
-        .transient(&tran(false))
+        .transient(&tran)
         .expect("limited transient converges");
     let reference = Session::new(ckt)
-        .transient(&tran(true))
+        .with_reference_solver(true)
+        .transient(&tran)
         .expect("reference transient converges");
     let mut worst = 0.0f64;
     for &node in probes {

@@ -37,16 +37,11 @@ fn ladder(
 }
 
 fn max_divergence(ckt: &Circuit, probes: &[NodeId], dt: f64, steps: usize) -> f64 {
-    let tran = |reference: bool| {
-        Transient::new(dt, steps as f64 * dt)
-            .use_initial_conditions()
-            .with_reference_solver(reference)
-    };
-    let plan = Session::new(ckt)
-        .transient(&tran(false))
-        .expect("plan converges");
+    let tran = Transient::new(dt, steps as f64 * dt).use_initial_conditions();
+    let plan = Session::new(ckt).transient(&tran).expect("plan converges");
     let reference = Session::new(ckt)
-        .transient(&tran(true))
+        .with_reference_solver(true)
+        .transient(&tran)
         .expect("reference converges");
     let mut worst = 0.0f64;
     for &node in probes {

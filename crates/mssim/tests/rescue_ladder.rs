@@ -179,25 +179,3 @@ fn healthy_run_reports_clean() {
         outcome.result().voltage(b).values()
     );
 }
-
-/// The adaptive stepper threads the same ladder: a starved budget on an
-/// adaptive run must also degrade gracefully instead of erroring.
-#[test]
-fn adaptive_runs_are_rescued_too() {
-    let (ckt, _) = cmos_inverter();
-    let tran = Transient::new(1e-9, 50e-9)
-        .use_initial_conditions()
-        .with_max_iterations(2)
-        .adaptive(AdaptiveConfig::default());
-    assert!(Session::new(&ckt).transient(&tran).is_err());
-    let mut rec = MemoryRecorder::new();
-    let outcome = Session::new(&ckt)
-        .observe(&mut rec)
-        .transient_rescued(&tran, &RescuePolicy::default())
-        .expect("adaptive rescue must not surface NonConvergence");
-    assert!(!outcome.rescues().is_clean());
-    assert!(rec.counter_value("tran.rescue_attempts") > 0);
-    if let TransientOutcome::Partial { result, .. } = &outcome {
-        assert!(result.samples() >= 1, "waveform-so-far must be kept");
-    }
-}

@@ -1,16 +1,10 @@
-//! Golden equivalence: the deprecated free-function entry points must
-//! produce **bitwise identical** results to the [`Session`] API they now
-//! delegate to, and the telemetry counters a session derives from its
+//! Golden equivalence: the deprecated `Transient::run` entry point must
+//! produce **bitwise identical** results to the [`Session`] API it
+//! delegates to, and the telemetry counters a session derives from its
 //! event stream must agree exactly with the solver's own statistics.
-//!
-//! These tests pin the 0.2.0 migration contract: callers can swap
-//! `dc_operating_point(&ckt)` for `Session::new(&ckt).dc_operating_point()`
-//! (and likewise for sweep/AC/noise/transient) without any result drift.
 
 #![allow(deprecated)]
 
-use mssim::analysis::{ac_analysis, dc_operating_point, dc_sweep, noise_analysis};
-use mssim::elements::MosParams;
 use mssim::prelude::*;
 use mssim::telemetry::Event;
 
@@ -18,22 +12,6 @@ const VDD: f64 = 2.5;
 const FREQ: f64 = 500e6;
 const ROUT: f64 = 100e3;
 const R_OFF: f64 = 1e12;
-
-/// CMOS inverter driving its output capacitor from a PWM gate drive —
-/// the paper's Fig. 2 transcoding cell (hand-rolled: a dev-dependency on
-/// `pwmcell` would create a cycle).
-fn mos_inverter() -> (Circuit, NodeId, ElementId) {
-    let mut ckt = Circuit::new();
-    let vdd = ckt.node("vdd");
-    let g = ckt.node("g");
-    let out = ckt.node("out");
-    ckt.vsource("VDD", vdd, Circuit::GND, Waveform::dc(VDD));
-    let vin = ckt.vsource("VIN", g, Circuit::GND, Waveform::pwm(VDD, FREQ, 0.7));
-    ckt.mosfet("MP", out, g, vdd, MosParams::pmos(865e-9, 1.2e-6));
-    ckt.mosfet("MN", out, g, Circuit::GND, MosParams::nmos(320e-9, 1.2e-6));
-    ckt.capacitor("COUT", out, Circuit::GND, 1e-12);
-    (ckt, out, vin)
-}
 
 /// Switch-level 3×3 weighted adder, the topology of `pwmcell::SwitchAdder`
 /// at the paper's technology numbers.
@@ -77,51 +55,6 @@ fn switch_adder_3x3() -> (Circuit, NodeId) {
     }
     ckt.capacitor("COUT", out, Circuit::GND, 10e-12);
     (ckt, out)
-}
-
-#[test]
-fn wrapper_dc_operating_point_is_bitwise_identical_to_session() {
-    let (ckt, _, _) = mos_inverter();
-    let legacy = dc_operating_point(&ckt).expect("legacy op converges");
-    let session = Session::new(&ckt)
-        .dc_operating_point()
-        .expect("session op converges");
-    assert_eq!(legacy.raw(), session.raw());
-}
-
-#[test]
-fn wrapper_dc_sweep_is_bitwise_identical_to_session() {
-    let (ckt, out, vin) = mos_inverter();
-    let points = mssim::sweep::linspace(0.0, VDD, 21);
-    let legacy = dc_sweep(ckt.clone(), vin, &points).expect("legacy sweep converges");
-    let session = Session::new(&ckt)
-        .dc_sweep(vin, &points)
-        .expect("session sweep converges");
-    assert_eq!(legacy.values(), session.values());
-    assert_eq!(legacy.transfer(out), session.transfer(out));
-}
-
-#[test]
-fn wrapper_ac_analysis_is_bitwise_identical_to_session() {
-    let (ckt, out, vin) = mos_inverter();
-    let freqs = mssim::sweep::logspace(1e3, 1e9, 31);
-    let legacy = ac_analysis(&ckt, vin, &freqs).expect("legacy ac converges");
-    let session = Session::new(&ckt)
-        .ac(vin, &freqs)
-        .expect("session ac converges");
-    assert_eq!(legacy.magnitude(out), session.magnitude(out));
-    assert_eq!(legacy.phase_deg(out), session.phase_deg(out));
-}
-
-#[test]
-fn wrapper_noise_analysis_is_bitwise_identical_to_session() {
-    let (ckt, out, _) = mos_inverter();
-    let freqs = mssim::sweep::logspace(1e3, 1e9, 11);
-    let legacy = noise_analysis(&ckt, out, &freqs).expect("legacy noise converges");
-    let session = Session::new(&ckt)
-        .noise(out, &freqs)
-        .expect("session noise converges");
-    assert_eq!(legacy.density(), session.density());
 }
 
 #[test]

@@ -181,7 +181,7 @@ arbitrary_via_standard!(bool, u32, u64, f64);
 pub mod collection {
     use super::*;
 
-    /// A length specification for [`vec`]: a fixed size or a range.
+    /// A length specification for [`vec()`]: a fixed size or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

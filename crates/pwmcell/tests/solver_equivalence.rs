@@ -8,16 +8,11 @@ use pwmcell::{AdderSpec, SwitchAdder, Technology, WeightedAdder};
 const TOL: f64 = 1e-12;
 
 fn divergence(ckt: &Circuit, probes: &[NodeId], dt: f64, steps: usize) -> f64 {
-    let tran = |reference: bool| {
-        Transient::new(dt, steps as f64 * dt)
-            .use_initial_conditions()
-            .with_reference_solver(reference)
-    };
-    let plan = Session::new(ckt)
-        .transient(&tran(false))
-        .expect("plan converges");
+    let tran = Transient::new(dt, steps as f64 * dt).use_initial_conditions();
+    let plan = Session::new(ckt).transient(&tran).expect("plan converges");
     let reference = Session::new(ckt)
-        .transient(&tran(true))
+        .with_reference_solver(true)
+        .transient(&tran)
         .expect("reference converges");
     let mut worst = 0.0f64;
     for &node in probes {

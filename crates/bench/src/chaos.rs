@@ -20,9 +20,9 @@
 //! exactly one degraded answer per injected fault in the single-query
 //! pass. Every degraded answer is checked against a chaos-free reference
 //! engine of identical configuration; cache-shard poisoning is injected
-//! at intervals and must be recovered (counted, never fatal). The results
-//! land in the `chaos` section of `BENCH_mssim.json`, gated by
-//! `bench_compare` in CI.
+//! at intervals and must be recovered (counted, never fatal).
+//! [`ChaosReport::violations`] holds those gates, and [`to_json`] renders
+//! the standalone `results/CHAOS_mssim.json` document.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -408,15 +408,12 @@ pub fn run(config: &ChaosHarnessConfig) -> ChaosReport {
     }
 }
 
-/// Renders the `chaos` JSON object (two-space indent) for embedding in
-/// the `mssim-bench-v1` document.
-///
-/// Like the serve section, key naming avoids `bench_compare`'s entry
-/// scanner: no bare `"name"` or `"speedup"` keys.
+/// Renders the `mssim-chaos-v1` document: the run's knobs and one object
+/// per stream.
 pub fn to_json(report: &ChaosReport, config: &ChaosHarnessConfig) -> String {
     let stream_json = |s: &ChaosStreamReport| {
         format!(
-            "      {{\n        \"stream\": \"{}\",\n        \"fail_rate\": {:.4},\n        \"nan_rate\": {:.4},\n        \"queries\": {},\n        \"availability\": {:.6},\n        \"degraded\": {},\n        \"degraded_rate\": {:.6},\n        \"max_degraded_error_v\": {:.6},\n        \"bound_violations\": {},\n        \"divergences\": {},\n        \"panics\": {},\n        \"demotions\": {},\n        \"lock_poisoned\": {},\n        \"poison_injected\": {},\n        \"injected_fail\": {},\n        \"injected_nan\": {},\n        \"batch_availability\": {:.6},\n        \"batch_degraded\": {}\n      }}",
+            "    {{\n      \"stream\": \"{}\",\n      \"fail_rate\": {:.4},\n      \"nan_rate\": {:.4},\n      \"queries\": {},\n      \"availability\": {:.6},\n      \"degraded\": {},\n      \"degraded_rate\": {:.6},\n      \"max_degraded_error_v\": {:.6},\n      \"bound_violations\": {},\n      \"divergences\": {},\n      \"panics\": {},\n      \"demotions\": {},\n      \"lock_poisoned\": {},\n      \"poison_injected\": {},\n      \"injected_fail\": {},\n      \"injected_nan\": {},\n      \"batch_availability\": {:.6},\n      \"batch_degraded\": {}\n    }}",
             s.stream,
             s.mix.fail,
             s.mix.nan,
@@ -438,7 +435,7 @@ pub fn to_json(report: &ChaosReport, config: &ChaosHarnessConfig) -> String {
         )
     };
     format!(
-        "  \"chaos\": {{\n    \"queries\": {},\n    \"seed\": {},\n    \"resolution\": {},\n    \"poison_every\": {},\n    \"streams\": [\n{},\n{}\n    ]\n  }}",
+        "{{\n  \"schema\": \"mssim-chaos-v1\",\n  \"queries\": {},\n  \"seed\": {},\n  \"resolution\": {},\n  \"poison_every\": {},\n  \"streams\": [\n{},\n{}\n  ]\n}}\n",
         config.queries,
         config.seed,
         config.resolution,
@@ -446,17 +443,6 @@ pub fn to_json(report: &ChaosReport, config: &ChaosHarnessConfig) -> String {
         stream_json(&report.baseline),
         stream_json(&report.storm),
     )
-}
-
-/// Merges the chaos section into an existing `mssim-bench-v1` document
-/// (replacing any previous chaos section), or synthesizes a minimal
-/// document when none exists.
-pub fn merge_into_bench_json(
-    existing: Option<&str>,
-    report: &ChaosReport,
-    config: &ChaosHarnessConfig,
-) -> String {
-    crate::section::merge_section(existing, "chaos", &to_json(report, config))
 }
 
 #[cfg(test)]
@@ -512,18 +498,23 @@ mod tests {
     }
 
     #[test]
-    fn chaos_section_merges_and_replaces() {
+    fn chaos_document_is_standalone_with_the_gated_keys() {
         let c = tiny();
-        let report = run(&c);
-        let base =
-            "{\n  \"schema\": \"mssim-bench-v1\",\n  \"repeats\": 3,\n  \"entries\": [\n  ]\n}\n";
-        let merged = merge_into_bench_json(Some(base), &report, &c);
-        assert!(merged.find("\"chaos\"").unwrap() < merged.find("\"entries\"").unwrap());
-        let remerged = merge_into_bench_json(Some(&merged), &report, &c);
-        assert_eq!(remerged.matches("\"chaos\"").count(), 1);
-        let section =
-            &merged[merged.find("\"chaos\"").unwrap()..merged.find("\"entries\"").unwrap()];
-        assert!(!section.contains("\"name\":"), "no bare name key");
-        assert!(!section.contains("\"speedup\":"), "no bare speedup key");
+        let doc = to_json(&run(&c), &c);
+        assert!(doc.starts_with("{\n  \"schema\": \"mssim-chaos-v1\",\n"));
+        assert!(doc.ends_with("}\n"));
+        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        assert_eq!(doc.matches('[').count(), doc.matches(']').count());
+        for key in [
+            "availability",
+            "batch_availability",
+            "panics",
+            "bound_violations",
+            "divergences",
+        ] {
+            assert_eq!(doc.matches(&format!("\"{key}\": ")).count(), 2, "{key}");
+        }
+        assert!(doc.contains("\"stream\": \"baseline\""));
+        assert!(doc.contains("\"stream\": \"storm\""));
     }
 }

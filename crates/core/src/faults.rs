@@ -1319,8 +1319,10 @@ mod tests {
             stats.masked + stats.failed + stats.simulated
         );
         assert!(
-            stats.masked + stats.failed > 0,
-            "the tier must resolve part of the universe statically"
+            stats.triage_ratio() >= 0.20,
+            "triage must statically resolve >= 20% of the switch universe, got {}/{}",
+            stats.masked + stats.failed,
+            stats.universe
         );
         for (t, f) in triaged.outcomes.iter().zip(&full.outcomes) {
             assert_eq!(t.label, f.label);

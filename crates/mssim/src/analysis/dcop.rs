@@ -82,21 +82,6 @@ impl Solution for DcSolution {
     }
 }
 
-/// [`Session::dc_operating_point`](crate::Session::dc_operating_point) on
-/// the naive per-iteration assembler, bypassing the compiled stamp plan.
-/// Kept for golden-equivalence tests and as the benchmark baseline; not
-/// part of the supported API.
-///
-/// # Errors
-///
-/// Same conditions as [`Session::dc_operating_point`](crate::Session::dc_operating_point).
-#[doc(hidden)]
-pub fn dc_operating_point_reference(circuit: &Circuit) -> Result<DcSolution, Error> {
-    crate::session::Session::new(circuit)
-        .with_reference_solver(true)
-        .dc_operating_point()
-}
-
 pub(crate) fn dc_operating_point_impl(
     circuit: &Circuit,
     sel: EngineSel,

@@ -82,25 +82,6 @@ impl Solution for DcSweepResult {
     }
 }
 
-/// [`Session::dc_sweep`](crate::Session::dc_sweep) on the naive
-/// per-iteration assembler, bypassing the compiled stamp plan. Kept for
-/// golden-equivalence tests and as the benchmark baseline; not part of the
-/// supported API.
-///
-/// # Errors
-///
-/// Same conditions as [`Session::dc_sweep`](crate::Session::dc_sweep).
-#[doc(hidden)]
-pub fn dc_sweep_reference(
-    circuit: Circuit,
-    source: ElementId,
-    values: &[f64],
-) -> Result<DcSweepResult, Error> {
-    crate::session::Session::new(&circuit)
-        .with_reference_solver(true)
-        .dc_sweep(source, values)
-}
-
 pub(crate) fn dc_sweep_impl(
     mut circuit: Circuit,
     source: ElementId,

@@ -4,8 +4,8 @@
 //! Newton–Raphson kernel (crate-private `mna` module). They are run
 //! through [`Session`](crate::Session), the unified entry point that owns
 //! lint pre-flight, plan compilation, solver selection and observer
-//! registration; [`Transient::run`] is a deprecated thin wrapper over it.
-//! Every result type implements the common [`Solution`] probing trait.
+//! registration. Every result type implements the common [`Solution`]
+//! probing trait.
 
 pub(crate) mod mna;
 pub(crate) mod mos_batch;
@@ -19,8 +19,8 @@ mod solution;
 pub(crate) mod transient;
 
 pub use ac::AcResult;
-pub use dcop::{dc_operating_point_reference, DcSolution};
-pub use dcsweep::{dc_sweep_reference, DcSweepResult};
+pub use dcop::DcSolution;
+pub use dcsweep::DcSweepResult;
 pub use noise::NoiseResult;
 pub use solution::Solution;
 pub use transient::{

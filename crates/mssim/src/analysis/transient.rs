@@ -489,22 +489,6 @@ impl Transient {
         self
     }
 
-    /// Runs the analysis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::LintRejected`] for broken netlists (see
-    /// [`crate::lint`]), [`Error::NonConvergence`] if Newton iteration
-    /// fails at some time point, and [`Error::SingularMatrix`] for
-    /// under-determined systems.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Session::new(&circuit).transient(&tran)` instead"
-    )]
-    pub fn run(&self, circuit: &Circuit) -> Result<TransientResult, Error> {
-        crate::session::Session::new(circuit).transient(self)
-    }
-
     /// The analysis proper, with the solver flavour and instrumentation
     /// handle supplied by [`Session`](crate::Session).
     pub(crate) fn run_with(

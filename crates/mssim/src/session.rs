@@ -102,8 +102,8 @@ impl<'c, 'o> Session<'c, 'o> {
     }
 
     /// Runs every analysis on the naive per-iteration assembler instead
-    /// of the compiled stamp plan. Kept for golden-equivalence tests and
-    /// as the benchmark baseline; not part of the supported API.
+    /// of the compiled stamp plan. Kept as the oracle of the
+    /// golden-equivalence tests; not part of the supported API.
     #[doc(hidden)]
     pub fn with_reference_solver(mut self, on: bool) -> Self {
         self.reference = on;

@@ -149,7 +149,10 @@ fn dc_sweep_matches_reference() {
     let plan = Session::new(&ckt)
         .dc_sweep(vg, &points)
         .expect("plan sweep");
-    let reference = mssim::analysis::dc_sweep_reference(ckt, vg, &points).expect("reference sweep");
+    let reference = Session::new(&ckt)
+        .with_reference_solver(true)
+        .dc_sweep(vg, &points)
+        .expect("reference sweep");
     for (i, (&(_, a), (_, b))) in plan
         .transfer(out)
         .iter()

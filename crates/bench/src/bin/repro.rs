@@ -1007,12 +1007,14 @@ fn trace(tech: &Technology) {
     let mut mismatches = 0usize;
     for (name, ckt) in &fixtures {
         let before = sink.0.counter_value("newton.iterations");
+        let fallbacks_before = sink.0.counter_value("plan.pivot_fallbacks");
         let events_before = sink.0.events().len();
         Session::new(ckt)
             .observe(&mut sink)
             .transient(&tran)
             .expect("transient converges");
         let derived = sink.0.counter_value("newton.iterations") - before;
+        let derived_fallbacks = sink.0.counter_value("plan.pivot_fallbacks") - fallbacks_before;
         // The solver's own accounting: sum of every SolverReport the
         // fixture emitted (the transient plus its nested DC operating
         // point), straight from `SolverStats`.
@@ -1025,6 +1027,7 @@ fn trace(tech: &Technology) {
             .fold(SolverCounters::default(), |acc, c| SolverCounters {
                 iterations: acc.iterations + c.iterations,
                 factorizations: acc.factorizations + c.factorizations,
+                pivot_fallbacks: acc.pivot_fallbacks + c.pivot_fallbacks,
                 back_substitutions: acc.back_substitutions + c.back_substitutions,
                 bypasses: acc.bypasses + c.bypasses,
                 rebases: acc.rebases + c.rebases,
@@ -1032,14 +1035,22 @@ fn trace(tech: &Technology) {
                 limit_clamps: acc.limit_clamps + c.limit_clamps,
                 latency_hits: acc.latency_hits + c.latency_hits,
             });
-        let ok = derived == reported.iterations;
-        println!(
-            "{name}: newton.iterations from events = {derived}, from SolverStats = {} [{}]",
-            reported.iterations,
-            if ok { "ok" } else { "MISMATCH" }
-        );
-        if !ok {
-            mismatches += 1;
+        for (counter, derived, reported) in [
+            ("newton.iterations", derived, reported.iterations),
+            (
+                "plan.pivot_fallbacks",
+                derived_fallbacks,
+                reported.pivot_fallbacks,
+            ),
+        ] {
+            let ok = derived == reported;
+            println!(
+                "{name}: {counter} from events = {derived}, from SolverStats = {reported} [{}]",
+                if ok { "ok" } else { "MISMATCH" }
+            );
+            if !ok {
+                mismatches += 1;
+            }
         }
         // SweepPoint-free single runs: also sanity-check the step count.
         let accepted = sink.0.counter_value("tran.steps_accepted");

@@ -1142,6 +1142,55 @@ mod tests {
         assert_eq!(a, b, "campaign must be deterministic");
     }
 
+    /// A bridge from the heaviest input to the output drives the MOS
+    /// adder far from its golden point, where the limited evaluator's
+    /// frozen-pivot LU replay runs through many pivot exchanges. Under
+    /// the `repro --fast faults` settings its settled output must stay
+    /// within the 1e-4 V limited-mode tolerance of exact mode.
+    #[test]
+    fn limited_mode_tracks_exact_mode_on_a_bridged_mos_adder() {
+        let tech = Technology::umc65_like();
+        let config = CampaignConfig {
+            periods: 16,
+            ..fast_config()
+        };
+        let (ckt, adder) = weighted_adder_fixture(
+            &tech,
+            AdderSpec::paper_3x3(),
+            &[7, 5, 3],
+            &[0.3, 0.5, 0.7],
+            config.frequency,
+        )
+        .unwrap();
+        let bridge = weighted_adder_universe(&ckt, &adder, &config.universe)
+            .into_iter()
+            .find(|lf| lf.label == "net_bridge:add_in2~add_out")
+            .expect("the universe bridges the heaviest input to the output");
+        let faulty = bridge.fault.apply(&ckt).unwrap();
+        let period = 1.0 / config.frequency;
+        let t_stop = config.periods as f64 * period;
+        let tran = Transient::new(period / config.steps_per_period as f64, t_stop)
+            .use_initial_conditions();
+        let t_avg_from = t_stop - config.avg_periods as f64 * period;
+        let vout = |limited| {
+            measure(
+                &faulty,
+                adder.output,
+                &tran,
+                &config.rescue,
+                t_avg_from,
+                limited,
+            )
+            .vout
+            .expect("the bridged adder settles")
+        };
+        let (exact, limited) = (vout(false), vout(true));
+        assert!(
+            (limited - exact).abs() <= 1e-4,
+            "limited {limited} V vs exact {exact} V"
+        );
+    }
+
     #[test]
     fn error_summary_routes_through_try_from_samples() {
         let report = CampaignReport {

@@ -35,17 +35,22 @@
 //!   previous solution verbatim.
 //! * **factorization cache** — same matrix identity as the last factored
 //!   system ⇒ the matrix is never even written; only the rhs is replayed
-//!   and back-substituted through the retained [`LuFactors`] in O(n²).
+//!   and substituted through the retained factors.
 //!
 //! Every tier keys on exact bit patterns, so it can never fire on a system
-//! that differs from the one it cached — the optimized path is bit-for-bit
-//! equivalent to [`mna::solve_newton`] by construction.
+//! that differs from the one it cached. A factorization that does run
+//! replays the pivot sequence and fill-in structure of an earlier dense
+//! elimination, touching only structural entries, and verifies each
+//! pivot against partial pivoting as it goes (see `SparseReplayLu`). So
+//! the optimized path is bit-for-bit equivalent to [`mna::solve_newton`].
+//! The one exception is the limited MOSFET mode, which trusts a frozen
+//! pivot order and agrees with the reference to solver tolerance.
 
 use super::mna::{self, MnaLayout, NewtonOpts, SolveContext};
 use super::mos_batch::{self, MosBatch};
 use crate::elements::{Element, MosParams};
 use crate::error::Error;
-use crate::linear::{DenseMatrix, LuFactors, SparseReplayLu};
+use crate::linear::{DenseMatrix, SparseReplayLu};
 use crate::netlist::{Circuit, ElementId};
 
 pub use super::mos_batch::LimitOpts;
@@ -724,9 +729,13 @@ impl StampPlan {
 pub(crate) struct SolverStats {
     /// Newton iterations executed.
     pub iterations: u64,
-    /// Full O(n³) LU factorizations performed.
+    /// LU factorizations performed (replayed or dense).
     pub factorizations: u64,
-    /// O(n²) back-substitutions performed.
+    /// Factorizations that ran the dense partial-pivot pass instead of a
+    /// replay: the first after each pattern rebuild, and each replay whose
+    /// pivots could not be verified (or whose frozen pivot degraded).
+    pub pivot_fallbacks: u64,
+    /// Triangular solves performed.
     pub back_substitutions: u64,
     /// Linear solves skipped entirely because the system was bit-identical
     /// to the previous one (solution cache or Newton bypass).
@@ -829,16 +838,12 @@ pub(crate) struct PlanSolver {
     /// Packed rhs replay program (see [`RhsProg`]): one entry per rhs
     /// contribution of the walk, skipping matrix-only ops entirely.
     rhs_prog: Vec<RhsProg>,
-    lu: LuFactors,
-    /// Structure-replay factorization engine of the limited path: frozen
-    /// pivot sequence + recorded fill-in replace the dense O(n³) sweep.
-    /// The exact path never touches it (its factors must stay bitwise).
-    slu: SparseReplayLu,
-    /// Structural nonzero pattern handed to `slu` (row-major u64 chunks)
-    /// and the base generation it was built against.
-    slu_pattern: Vec<u64>,
-    slu_pattern_gen: u64,
-    slu_pattern_valid: bool,
+    /// The LU engine: a verified sparse replay, bitwise identical to the
+    /// reference's dense elimination, except for MOSFET circuits under
+    /// limited evaluation, which replay a frozen pivot order.
+    lu: SparseReplayLu,
+    /// Base generation the engine's structural pattern was built against.
+    lu_pattern_gen: Option<u64>,
     lu_valid: bool,
     lu_base_gen: u64,
     lu_iter_mat_gen: u64,
@@ -932,6 +937,10 @@ impl PlanSolver {
                 }
             }
         }
+        // Switch conductances swing a dozen decades, for which a frozen
+        // pivot order is numerically fragile; only MOSFET circuits under
+        // limited evaluation give up the bitwise contract.
+        let frozen = matches!(eval, DeviceEval::Limited(_)) && mos.len() > 0;
         PlanSolver {
             plan,
             n,
@@ -967,11 +976,8 @@ impl PlanSolver {
             reads_valid: false,
             dyn_all_mos,
             rhs_prog,
-            lu: LuFactors::new(n),
-            slu: SparseReplayLu::new(n),
-            slu_pattern: Vec::new(),
-            slu_pattern_gen: 0,
-            slu_pattern_valid: false,
+            lu: SparseReplayLu::new(n, !frozen),
+            lu_pattern_gen: None,
             lu_valid: false,
             lu_base_gen: 0,
             lu_iter_mat_gen: 0,
@@ -991,7 +997,10 @@ impl PlanSolver {
 
     /// Work counters accumulated since construction.
     pub fn stats(&self) -> SolverStats {
-        self.stats
+        SolverStats {
+            pivot_fallbacks: self.lu.dense_passes(),
+            ..self.stats
+        }
     }
 
     /// Maximum node-voltage update of the most recent Newton iteration.
@@ -1247,111 +1256,57 @@ impl PlanSolver {
 }
 
 impl PlanSolver {
-    /// Rebuilds the structural nonzero pattern handed to the sparse
-    /// replay engine: base nonzeros, the diagonal, and every position an
+    /// Hands the LU engine the structural nonzero pattern of the current
+    /// base generation: base nonzeros, the diagonal, and every position an
     /// iteration op can write (conditional MOSFET rows included). Base
     /// *values* are constant within one base generation, so the scan of
     /// its numeric nonzeros is structurally sound until the next rebase.
-    fn rebuild_slu_pattern(&mut self) {
+    fn rebuild_pattern(&mut self) {
         let n = self.n;
-        let chunks = n.div_ceil(64);
-        let mut pat = std::mem::take(&mut self.slu_pattern);
-        pat.clear();
-        pat.resize(n * chunks, 0u64);
-        let set = |pat: &mut Vec<u64>, r: usize, c: usize| {
-            pat[r * chunks + c / 64] |= 1u64 << (c % 64);
-        };
+        let words = n.div_ceil(64);
+        let mut pat = vec![0u64; n * words];
+        let mut set = |r: usize, c: usize| pat[r * words + c / 64] |= 1u64 << (c % 64);
         let b = self.base.as_slice();
         for r in 0..n {
             for c in 0..n {
                 if b[r * n + c] != 0.0 {
-                    set(&mut pat, r, c);
+                    set(r, c);
                 }
             }
-            set(&mut pat, r, r);
+            set(r, r);
         }
         for op in &self.plan.iter_ops {
             match *op {
-                IterOp::Mat(MatOp { idx, .. }) => set(&mut pat, idx / n, idx % n),
+                IterOp::Mat(MatOp { idx, .. }) => set(idx / n, idx % n),
                 IterOp::Rhs(_) => {}
                 IterOp::Mosfet { rd, rg, rs, .. } => {
                     for row in [rd, rs].into_iter().flatten() {
-                        set(&mut pat, row, row);
+                        set(row, row);
                         for col in [rd, rg, rs].into_iter().flatten() {
-                            set(&mut pat, row, col);
+                            set(row, col);
                         }
                     }
                 }
                 IterOp::Switch { ra, rb, .. } | IterOp::Diode { ra, rk: rb, .. } => {
                     for row in [ra, rb].into_iter().flatten() {
-                        set(&mut pat, row, row);
+                        set(row, row);
                         for col in [ra, rb].into_iter().flatten() {
-                            set(&mut pat, row, col);
+                            set(row, col);
                         }
                     }
                 }
             }
         }
-        self.slu_pattern = pat;
-        self.slu.invalidate_structure();
-        self.slu_pattern_gen = self.base_gen;
-        self.slu_pattern_valid = true;
-    }
-
-    /// Factors the currently recorded system, stamping the generation
-    /// identity so `fresh`/`lu_hit` checks see the new factors. The exact
-    /// path uses the dense partial-pivot engine (bitwise contract); the
-    /// limited path goes through the sparse replay engine.
-    fn factor_current(&mut self, gmin: f64) -> Result<(), Error> {
-        self.lu_valid = false;
-        let n = self.n;
-        if matches!(self.eval_mode, DeviceEval::Limited(_)) && self.mos.len() > 0 {
-            if !self.slu_pattern_valid || self.slu_pattern_gen != self.base_gen {
-                self.rebuild_slu_pattern();
-            }
-            let PlanSolver {
-                slu,
-                slu_pattern,
-                base,
-                plan,
-                iter_mat_ctx,
-                dyn_mat_vals,
-                ..
-            } = self;
-            slu.factor_with(n, slu_pattern, |buf| {
-                fill_mat(
-                    buf,
-                    base,
-                    &plan.iter_ops,
-                    iter_mat_ctx,
-                    dyn_mat_vals,
-                    gmin,
-                    n,
-                )
-            })?;
-        } else {
-            let base = &self.base;
-            let iter_ops = &self.plan.iter_ops;
-            let ctx_vals = &self.iter_mat_ctx;
-            let dev_vals = &self.dyn_mat_vals;
-            self.lu.factor_with(n, |buf| {
-                fill_mat(buf, base, iter_ops, ctx_vals, dev_vals, gmin, n)
-            })?;
-        }
-        self.lu_base_gen = self.base_gen;
-        self.lu_iter_mat_gen = self.iter_mat_gen;
-        self.lu_dyn_mat_gen = self.dyn_mat_gen;
-        self.lu_valid = true;
-        self.stats.factorizations += 1;
-        Ok(())
+        self.lu.set_pattern(&pat);
+        self.lu_pattern_gen = Some(self.base_gen);
     }
 }
 
 /// Base copy + recorded matrix contributions, replayed in op order — the
 /// exact additions `mna::assemble` performs on the matrix. Demoted
 /// context-only atoms come from `ctx_vals`, device linearisations from
-/// `dev_vals`. A free function (not a method) so `LuFactors::factor_with`
-/// can assemble straight into the factorization buffer while the solver's
+/// `dev_vals`. A free function (not a method) so the LU engine can
+/// assemble straight into its factorization buffer while the solver's
 /// other fields stay borrowed.
 fn fill_mat(
     mat: &mut [f64],
@@ -1450,8 +1405,9 @@ fn fill_mat(
 impl PlanSolver {
     /// Solves the evaluated system, leaving the solution in `self.rhs`.
     /// Tiers: solution cache (skip everything), factorization cache (skip
-    /// the O(n³) elimination), full factorization. Every tier is bit-for-
-    /// bit equivalent to a fresh `solve_in_place` on the assembled system.
+    /// the elimination), full factorization. Outside the frozen limited
+    /// mode every tier is bit-for-bit equivalent to a fresh
+    /// `solve_in_place` on the assembled system.
     fn solve_linear(&mut self, gmin: f64) -> Result<(), Error> {
         if self.prev_valid
             && self.prev_base_gen == self.base_gen
@@ -1469,45 +1425,43 @@ impl PlanSolver {
             && self.lu_base_gen == self.base_gen
             && self.lu_iter_mat_gen == self.iter_mat_gen
             && self.lu_dyn_mat_gen == self.dyn_mat_gen;
-        // The sparse replay engine serves MOSFET circuits under limited
-        // evaluation only: switch conductances swing a dozen decades, for
-        // which a frozen pivot order is numerically fragile — and keeping
-        // MOSFET-free circuits on the dense engine keeps them bitwise
-        // identical to the reference even in limited mode.
-        let limited = matches!(self.eval_mode, DeviceEval::Limited(_)) && self.mos.len() > 0;
+        if !lu_hit && self.lu_pattern_gen != Some(self.base_gen) {
+            self.rebuild_pattern();
+        }
         self.write_rhs();
-        if lu_hit {
-            if limited {
-                self.slu.solve(&mut self.rhs);
-            } else {
-                self.lu.solve(&mut self.rhs);
-            }
-        } else if limited {
-            // Limited path: replay the recorded elimination structure —
-            // no bitwise contract to honour, so the frozen-pivot sparse
-            // sweep replaces the dense O(n³) factorization.
-            self.factor_current(gmin)?;
-            self.slu.solve(&mut self.rhs);
-        } else {
-            // Factor miss: fuse the rhs forward-elimination into the
-            // factorization sweep (one pass, as the reference assembler's
-            // solve_in_place does) while still storing the factors for the
-            // next hit. Bitwise identical to factor_with + solve.
-            self.lu_valid = false;
-            let n = self.n;
-            let base = &self.base;
-            let iter_ops = &self.plan.iter_ops;
-            let ctx_vals = &self.iter_mat_ctx;
-            let dev_vals = &self.dyn_mat_vals;
-            self.lu.factor_and_solve_with(
+        let n = self.n;
+        let PlanSolver {
+            lu,
+            lu_valid,
+            base,
+            plan,
+            iter_mat_ctx,
+            dyn_mat_vals,
+            rhs,
+            ..
+        } = self;
+        let fill = |buf: &mut [f64]| {
+            fill_mat(
+                buf,
+                base,
+                &plan.iter_ops,
+                iter_mat_ctx,
+                dyn_mat_vals,
+                gmin,
                 n,
-                |buf| fill_mat(buf, base, iter_ops, ctx_vals, dev_vals, gmin, n),
-                &mut self.rhs,
-            )?;
+            )
+        };
+        // Until both succeed the stored factors may be partial.
+        *lu_valid = false;
+        if !lu_hit {
+            lu.factor(fill)?;
+        }
+        lu.solve(rhs, fill)?;
+        self.lu_valid = true;
+        if !lu_hit {
             self.lu_base_gen = self.base_gen;
             self.lu_iter_mat_gen = self.iter_mat_gen;
             self.lu_dyn_mat_gen = self.dyn_mat_gen;
-            self.lu_valid = true;
             self.stats.factorizations += 1;
         }
         self.stats.back_substitutions += 1;

@@ -1,9 +1,13 @@
-//! Dense linear algebra: the LU solver behind every Newton iteration.
+//! Linear algebra behind every Newton iteration.
 //!
-//! The paper's circuits have at most a few tens of nodes, so a dense
-//! row-major matrix with partial-pivoting Gaussian elimination is both the
-//! simplest and the fastest appropriate solver — no sparse machinery, no
-//! external dependencies.
+//! [`DenseMatrix::solve_in_place`] is textbook partial-pivot Gaussian
+//! elimination on a row-major matrix, and the oracle every other solver
+//! here is held to. An MNA Jacobian is mostly zeros, though: the
+//! transistor-level 3×3 adder has 36 unknowns and 155 structural entries
+//! of 1 296. So the compiled plans factor through `SparseReplayLu`, which
+//! records one dense elimination's pivot sequence and fill-in structure
+//! and replays them on later matrices touching only structural entries,
+//! bit for bit the same as the dense elimination in exact mode.
 
 use crate::error::Error;
 
@@ -113,12 +117,7 @@ impl DenseMatrix {
         if n == 0 {
             return Ok(());
         }
-        let scale = self
-            .data
-            .iter()
-            .fold(0.0f64, |m, &v| m.max(v.abs()))
-            .max(1e-30);
-        let tol = scale * 1e-14;
+        let tol = pivot_tolerance(self.data.iter().copied());
 
         for k in 0..n {
             // Partial pivot: largest |entry| in column k at/below row k.
@@ -165,21 +164,27 @@ impl DenseMatrix {
     }
 }
 
+/// The singular-pivot threshold shared by every elimination here: `1e-14`
+/// times the largest magnitude among `entries` (at least `1e-30`).
+fn pivot_tolerance(entries: impl Iterator<Item = f64>) -> f64 {
+    entries.fold(0.0f64, |m, v| m.max(v.abs())).max(1e-30) * 1e-14
+}
+
 /// A reusable LU factorization (partial pivoting) of a [`DenseMatrix`].
 ///
 /// [`LuFactors::factor_from`] performs exactly the elimination of
 /// [`DenseMatrix::solve_in_place`], but keeps the elimination multipliers
-/// (in the strict lower triangle) and the row-exchange sequence, so any
-/// number of right-hand sides can later be solved in O(n²) by
-/// [`LuFactors::solve`] — with results **bitwise identical** to a fresh
-/// `solve_in_place` on the same matrix. The solver hot path leans on that
-/// guarantee: reusing a factorization for an unchanged Jacobian cannot
-/// perturb a waveform by even one ulp.
+/// and the row-exchange sequence, so any number of right-hand sides can
+/// later be solved in O(n²) by [`LuFactors::solve`] — with results
+/// **bitwise identical** to a fresh `solve_in_place` on the same matrix.
+/// It is also the dense pass of [`SparseReplayLu`].
 #[derive(Debug, Clone)]
-pub struct LuFactors {
+pub(crate) struct LuFactors {
     n: usize,
-    /// Row-major storage: upper triangle (diagonal included) holds `U`,
-    /// strict lower triangle holds the elimination multipliers.
+    /// Row-major storage: the upper triangle (diagonal included) holds
+    /// `U`; column `k` below it holds the stage-`k` multipliers in their
+    /// stage-`k` row positions (an exchange at stage `k` moves columns
+    /// `k..n` only, so earlier multipliers stay where they were written).
     lu: Vec<f64>,
     /// `swaps[k]` is the row exchanged with row `k` at elimination stage
     /// `k` (`k` itself when no exchange happened).
@@ -196,11 +201,6 @@ impl LuFactors {
         }
     }
 
-    /// Matrix dimension of the stored factorization.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Factors `mat` (which is left untouched), replacing any previously
     /// stored factorization.
     ///
@@ -209,38 +209,22 @@ impl LuFactors {
     /// Returns [`Error::SingularMatrix`] under exactly the same condition
     /// (and at the same row) as [`DenseMatrix::solve_in_place`].
     pub fn factor_from(&mut self, mat: &DenseMatrix) -> Result<(), Error> {
-        self.factor_with(mat.n, |lu| lu.copy_from_slice(&mat.data))
+        self.n = mat.n;
+        self.lu.clear();
+        self.lu.extend_from_slice(&mat.data);
+        self.swaps.resize(mat.n, 0);
+        self.eliminate(0, pivot_tolerance(mat.data.iter().copied()))
     }
 
-    /// Factors an `n × n` matrix assembled directly into the internal
-    /// buffer by `fill` (which receives it zero-initialised-or-stale and
-    /// must overwrite all `n²` entries). Skips the matrix copy that
-    /// [`LuFactors::factor_from`] pays, for callers that would otherwise
-    /// stage the matrix in a scratch buffer only to hand it over.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SingularMatrix`] under exactly the same condition
-    /// (and at the same row) as [`DenseMatrix::solve_in_place`].
+    /// Stages `from..n` of the partial-pivot elimination, in place — the
+    /// arithmetic of [`DenseMatrix::solve_in_place`], storing multipliers
+    /// instead of applying them to a right-hand side.
     // Index loops mirror solve_in_place; iterator forms obscure the pivot
     // structure.
     #[allow(clippy::needless_range_loop)]
-    pub fn factor_with(&mut self, n: usize, fill: impl FnOnce(&mut [f64])) -> Result<(), Error> {
-        self.n = n;
-        self.lu.resize(n * n, 0.0);
-        fill(&mut self.lu);
-        self.swaps.resize(n, 0);
-        if n == 0 {
-            return Ok(());
-        }
-        let scale = self
-            .lu
-            .iter()
-            .fold(0.0f64, |m, &v| m.max(v.abs()))
-            .max(1e-30);
-        let tol = scale * 1e-14;
-
-        for k in 0..n {
+    fn eliminate(&mut self, from: usize, tol: f64) -> Result<(), Error> {
+        let n = self.n;
+        for k in from..n {
             let mut pivot_row = k;
             let mut pivot_mag = self.lu[k * n + k].abs();
             for r in (k + 1)..n {
@@ -255,7 +239,7 @@ impl LuFactors {
             }
             self.swaps[k] = pivot_row;
             if pivot_row != k {
-                for c in 0..n {
+                for c in k..n {
                     self.lu.swap(k * n + c, pivot_row * n + c);
                 }
             }
@@ -277,99 +261,9 @@ impl LuFactors {
         Ok(())
     }
 
-    /// Factors like [`LuFactors::factor_with`] while eliminating `rhs` in
-    /// the same sweep, then back-substitutes — leaving `rhs` holding the
-    /// solution and the factorization stored for later [`LuFactors::solve`]
-    /// calls.
-    ///
-    /// This is the factor-miss fast path: it fuses the O(n²) forward
-    /// substitution into the elimination exactly as
-    /// [`DenseMatrix::solve_in_place`] does (interleaved row swaps and
-    /// multiplier updates), so a Newton iteration that must refactor pays
-    /// no separate permutation-replay pass. The interleaved updates are
-    /// bitwise identical to `factor_with` + [`LuFactors::solve`] — the
-    /// same multipliers hit `rhs` in the same order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SingularMatrix`] under exactly the same condition
-    /// (and at the same row) as [`DenseMatrix::solve_in_place`]; `rhs` is
-    /// left partially eliminated in that case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs.len() != n`.
-    #[allow(clippy::needless_range_loop)]
-    pub fn factor_and_solve_with(
-        &mut self,
-        n: usize,
-        fill: impl FnOnce(&mut [f64]),
-        rhs: &mut [f64],
-    ) -> Result<(), Error> {
-        assert_eq!(rhs.len(), n, "rhs length must equal matrix dimension");
-        self.n = n;
-        self.lu.resize(n * n, 0.0);
-        fill(&mut self.lu);
-        self.swaps.resize(n, 0);
-        if n == 0 {
-            return Ok(());
-        }
-        let scale = self
-            .lu
-            .iter()
-            .fold(0.0f64, |m, &v| m.max(v.abs()))
-            .max(1e-30);
-        let tol = scale * 1e-14;
-
-        for k in 0..n {
-            let mut pivot_row = k;
-            let mut pivot_mag = self.lu[k * n + k].abs();
-            for r in (k + 1)..n {
-                let mag = self.lu[r * n + k].abs();
-                if mag > pivot_mag {
-                    pivot_mag = mag;
-                    pivot_row = r;
-                }
-            }
-            if pivot_mag < tol {
-                return Err(Error::SingularMatrix { row: k });
-            }
-            self.swaps[k] = pivot_row;
-            if pivot_row != k {
-                for c in 0..n {
-                    self.lu.swap(k * n + c, pivot_row * n + c);
-                }
-                rhs.swap(k, pivot_row);
-            }
-            let pivot = self.lu[k * n + k];
-            for r in (k + 1)..n {
-                let factor = self.lu[r * n + k] / pivot;
-                if factor == 0.0 {
-                    // A multiplier that underflows to zero must replay as a
-                    // skip, exactly like solve_in_place's `continue`.
-                    self.lu[r * n + k] = 0.0;
-                    continue;
-                }
-                self.lu[r * n + k] = factor;
-                for c in (k + 1)..n {
-                    self.lu[r * n + c] -= factor * self.lu[k * n + c];
-                }
-                rhs[r] -= factor * rhs[k];
-            }
-        }
-        for k in (0..n).rev() {
-            let mut sum = rhs[k];
-            for c in (k + 1)..n {
-                sum -= self.lu[k * n + c] * rhs[c];
-            }
-            rhs[k] = sum / self.lu[k * n + k];
-        }
-        Ok(())
-    }
-
-    /// Solves `A·x = rhs` in place for the matrix `A` last passed to
-    /// [`LuFactors::factor_from`], replaying the stored row exchanges and
-    /// multipliers. Bitwise identical to `A.solve_in_place(rhs)`.
+    /// Solves `A·x = rhs` in place for the matrix `A` last factored,
+    /// interleaving each stage's row exchange with its multipliers as
+    /// `solve_in_place` does. Bitwise identical to `A.solve_in_place(rhs)`.
     ///
     /// # Panics
     ///
@@ -378,23 +272,13 @@ impl LuFactors {
     pub fn solve(&self, rhs: &mut [f64]) {
         let n = self.n;
         assert_eq!(rhs.len(), n, "rhs length must equal matrix dimension");
-        // Apply the whole pivot permutation first: factor_from swaps stored
-        // multiplier columns on later pivots (so L lives in final row
-        // positions), which makes "permute, then substitute" the replay that
-        // matches solve_in_place's interleaved updates bit for bit.
         for k in 0..n {
-            let pivot_row = self.swaps[k];
-            if pivot_row != k {
-                rhs.swap(k, pivot_row);
-            }
-        }
-        for k in 0..n {
+            rhs.swap(k, self.swaps[k]);
             for r in (k + 1)..n {
                 let factor = self.lu[r * n + k];
-                if factor == 0.0 {
-                    continue;
+                if factor != 0.0 {
+                    rhs[r] -= factor * rhs[k];
                 }
-                rhs[r] -= factor * rhs[k];
             }
         }
         for k in (0..n).rev() {
@@ -407,299 +291,342 @@ impl LuFactors {
     }
 }
 
-/// LU factorization over a frozen pivot sequence and structural pattern.
+/// Why a replay handed the factorization back to the dense pass.
+enum Halt {
+    /// The pivot of this stage could not be used: it was not the one
+    /// partial pivoting picks (verified) or fell under the threshold.
+    Pivot(usize),
+    /// A verified replay met a non-finite pivot or multiplier.
+    NonFinite,
+}
+
+/// LU factorization that replays a recorded pivot sequence and fill-in
+/// structure.
 ///
-/// The first factorization runs the same dense partial-pivot elimination
-/// as [`LuFactors`], then records the pivot sequence and — from a
-/// caller-supplied structural pattern — the fill-in structure of the
-/// factors. Subsequent factorizations *replay* that elimination touching
-/// only structural positions, which on a sparse MNA system cuts the
-/// O(n³) sweep to roughly the factor's nonzero count. Triangular solves
-/// walk the same recorded structure.
+/// The first factorization after [`SparseReplayLu::set_pattern`], and any
+/// the replay cannot vouch for, runs the dense elimination of
+/// [`LuFactors`], then records its pivot sequence and — from the
+/// structural pattern — the fill-in structure of the factors. Later
+/// factorizations replay that elimination touching only structural
+/// positions, which on a sparse MNA system cuts the O(n³) sweep to about
+/// the factors' nonzero count; the solves walk the same structure.
 ///
-/// The replay performs the same arithmetic as the dense elimination on
-/// every structural position; skipped positions are structurally zero,
-/// so results agree to rounding (not bitwise: the frozen pivot order can
-/// differ from what fresh partial pivoting would choose). A replayed
-/// pivot whose magnitude falls under the recorded threshold triggers a
-/// transparent fallback: the matrix is refilled, factored densely with
-/// fresh pivoting, and the structure re-recorded.
+/// Two contracts, chosen at construction:
+///
+/// * **Verified**: bitwise identical to [`DenseMatrix::solve_in_place`].
+///   At each stage the replay confirms, over the recorded pre-exchange
+///   candidate rows, that the recorded pivot is the first maximum partial
+///   pivoting would pick; it recomputes the singular-pivot threshold over
+///   the structural entries and divides as the dense code does. A pivot
+///   that fails at stage `k` continues the dense sweep from `k`, since
+///   the buffer holds exactly its state there. A non-finite multiplier or
+///   solution entry refills the matrix and takes the dense pass from the
+///   start. Skipping non-structural entries is exact because they hold
+///   `+0.0` and the matrix and right-hand side never hold `−0.0`
+///   (assembly sums every entry from `+0.0`), so a skipped update would
+///   only subtract `±0` from an entry.
+/// * **Frozen**: the recorded pivot order is trusted until a replayed
+///   pivot falls under the threshold of the last dense pass, and each
+///   stage multiplies by one reciprocal. Results agree with the dense
+///   solve to rounding, not bitwise.
 #[derive(Debug, Clone)]
-pub struct SparseReplayLu {
-    n: usize,
-    /// Dense row-major storage; only structural positions are meaningful
-    /// after a replayed factorization (the rest stay 0.0 from `fill`).
-    lu: Vec<f64>,
-    swaps: Vec<usize>,
-    /// Stage-`k` multiplier rows (`r > k` with structural `(r, k)`).
+pub(crate) struct SparseReplayLu {
+    /// Working buffer, pivot sequence and the dense pass. After a replay
+    /// only structural positions are meaningful.
+    dense: LuFactors,
+    verify: bool,
+    /// Structural pattern of the assembled matrices: row-major, in
+    /// `ceil(n/64)` `u64` words per row, and the flat index of every set
+    /// bit (the threshold scan of the verified replay).
+    pattern: Vec<u64>,
+    entries: Vec<u32>,
+    /// Stage-`k` pivot candidates: rows `r > k` with structural `(r, k)`
+    /// before the stage's exchange, ascending.
+    cands: Vec<u32>,
+    cand_ptr: Vec<usize>,
+    /// Stage-`k` multiplier rows: rows `r > k` with structural `(r, k)`
+    /// after the stage's exchange.
     mrows: Vec<u32>,
     mrow_ptr: Vec<usize>,
-    /// Stage-`k` update columns (`c > k` with structural `(k, c)`).
+    /// Stage-`k` update columns: `c > k` with structural `(k, c)`,
+    /// ascending.
     ucols: Vec<u32>,
     ucol_ptr: Vec<usize>,
-    /// Reciprocals of the U diagonal, so the back-substitution multiplies
-    /// instead of divides (no bitwise contract on this engine).
+    /// Reciprocal of each frozen replay pivot.
     inv_diag: Vec<f64>,
-    /// Multiplier values aligned with `mrows` and U values aligned with
-    /// `ucols`: the triangular solves walk these contiguous copies instead
-    /// of striding through the dense buffer.
-    mvals: Vec<f64>,
-    uvals: Vec<f64>,
-    structured: bool,
-    /// Pivot acceptance threshold recorded by the structuring pass.
+    /// Singular-pivot threshold of the current factorization (frozen: of
+    /// the last dense pass).
     tol: f64,
+    structured: bool,
+    /// Whether the current factors came from a replay, so the solve walks
+    /// the structure, rather than from the dense pass.
+    replayed: bool,
+    dense_passes: u64,
+    /// Right-hand side of the current verified solve, kept to redo it
+    /// densely.
+    rhs_copy: Vec<f64>,
 }
 
 impl SparseReplayLu {
-    /// An empty holder for `n × n` systems.
-    pub fn new(n: usize) -> Self {
+    /// An empty holder for `n × n` systems; `verify` picks the bitwise
+    /// contract over the frozen one.
+    pub fn new(n: usize, verify: bool) -> Self {
         SparseReplayLu {
-            n,
-            lu: vec![0.0; n * n],
-            swaps: vec![0; n],
+            dense: LuFactors::new(n),
+            verify,
+            pattern: Vec::new(),
+            entries: Vec::new(),
+            cands: Vec::new(),
+            cand_ptr: Vec::new(),
             mrows: Vec::new(),
             mrow_ptr: Vec::new(),
             ucols: Vec::new(),
             ucol_ptr: Vec::new(),
             inv_diag: vec![0.0; n],
-            mvals: Vec::new(),
-            uvals: Vec::new(),
-            structured: false,
             tol: 0.0,
+            structured: false,
+            replayed: false,
+            dense_passes: 0,
+            rhs_copy: vec![0.0; n],
         }
     }
 
-    /// Drops the recorded structure (pattern or pivot sequence no longer
-    /// trustworthy — e.g. the base matrix was rebuilt).
-    pub fn invalidate_structure(&mut self) {
-        self.structured = false;
+    /// Dense passes run so far: the first factorization after each
+    /// [`SparseReplayLu::set_pattern`], every factorization whose replay
+    /// failed, and every verified solve redone densely.
+    pub fn dense_passes(&self) -> u64 {
+        self.dense_passes
     }
 
-    /// Factors an `n × n` matrix assembled into the internal buffer by
-    /// `fill`. `pattern` is the structural nonzero pattern of the
-    /// assembled matrix, row-major in `ceil(n/64)` `u64` chunks per row;
-    /// every position `fill` can make nonzero must be set (a superset is
-    /// fine — structurally-present numeric zeros replay as no-ops).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SingularMatrix`] when even a fresh dense
-    /// factorization finds no acceptable pivot.
-    pub fn factor_with(
-        &mut self,
-        n: usize,
-        pattern: &[u64],
-        fill: impl Fn(&mut [f64]),
-    ) -> Result<(), Error> {
-        self.n = n;
-        self.lu.resize(n * n, 0.0);
-        self.swaps.resize(n, 0);
-        fill(&mut self.lu);
-        if n == 0 {
-            return Ok(());
-        }
-        if self.structured {
-            match self.replay() {
-                Ok(()) => return Ok(()),
-                Err(_) => {
-                    // Frozen pivot went bad on the new values: refill (the
-                    // buffer is partially eliminated) and restructure.
-                    self.structured = false;
-                    fill(&mut self.lu);
+    /// Sets the structural nonzero pattern of the matrices the next
+    /// factorizations assemble, row-major in `ceil(n/64)` `u64` words per
+    /// row, and drops the recorded structure. Every position a `fill` can
+    /// make nonzero must be set; a superset is fine.
+    pub fn set_pattern(&mut self, pattern: &[u64]) {
+        let n = self.dense.n;
+        let words = n.div_ceil(64);
+        debug_assert_eq!(pattern.len(), n * words);
+        self.pattern.clear();
+        self.pattern.extend_from_slice(pattern);
+        self.entries.clear();
+        for r in 0..n {
+            for c in 0..n {
+                if pattern[r * words + c / 64] >> (c % 64) & 1 == 1 {
+                    self.entries.push((r * n + c) as u32);
                 }
             }
         }
-        self.dense_factor()?;
-        self.record_structure(pattern);
+        self.structured = false;
+    }
+
+    /// Factors the `n × n` matrix that `fill` assembles into the internal
+    /// buffer (overwriting all `n²` entries).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::SingularMatrix`] when the dense pass finds no
+    /// acceptable pivot, at the row [`DenseMatrix::solve_in_place`]
+    /// reports.
+    pub fn factor(&mut self, fill: impl Fn(&mut [f64])) -> Result<(), Error> {
+        fill(&mut self.dense.lu);
+        if !self.structured {
+            return self.dense_pass(0);
+        }
+        match self.replay() {
+            Ok(()) => {
+                self.replayed = true;
+                Ok(())
+            }
+            Err(Halt::Pivot(k)) if self.verify => self.dense_pass(k),
+            Err(_) => {
+                fill(&mut self.dense.lu);
+                self.dense_pass(0)
+            }
+        }
+    }
+
+    /// Solves `A·x = rhs` in place against the last factorization, where
+    /// `fill` assembles `A` as it did for [`SparseReplayLu::factor`]. A
+    /// verified solve whose replay yields a non-finite entry is redone
+    /// densely (the dense sweep turns a skipped `0 · ∞` into NaN).
+    ///
+    /// # Errors
+    ///
+    /// As for [`SparseReplayLu::factor`], from that dense redo.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rhs.len()` does not match the factored dimension.
+    pub fn solve(&mut self, rhs: &mut [f64], fill: impl Fn(&mut [f64])) -> Result<(), Error> {
+        if !self.replayed {
+            self.dense.solve(rhs);
+            return Ok(());
+        }
+        if self.verify {
+            self.rhs_copy.copy_from_slice(rhs);
+        }
+        self.replay_solve(rhs);
+        if self.verify && !rhs.iter().all(|v| v.is_finite()) {
+            fill(&mut self.dense.lu);
+            self.dense_pass(0)?;
+            rhs.copy_from_slice(&self.rhs_copy);
+            self.dense.solve(rhs);
+        }
+        Ok(())
+    }
+
+    /// Runs the dense elimination from stage `from` and records the
+    /// structure of its pivot sequence.
+    fn dense_pass(&mut self, from: usize) -> Result<(), Error> {
+        self.replayed = false;
+        self.structured = false;
+        if from == 0 {
+            self.tol = pivot_tolerance(self.dense.lu.iter().copied());
+        }
+        self.dense.eliminate(from, self.tol)?;
+        self.record_structure();
+        self.dense_passes += 1;
         Ok(())
     }
 
     /// Replays the recorded elimination on the freshly filled buffer.
-    fn replay(&mut self) -> Result<(), Error> {
-        let n = self.n;
+    fn replay(&mut self) -> Result<(), Halt> {
+        let n = self.dense.n;
+        let lu = &mut self.dense.lu;
+        if self.verify {
+            self.tol = pivot_tolerance(self.entries.iter().map(|&e| lu[e as usize]));
+        }
         for k in 0..n {
-            let pr = self.swaps[k];
-            if pr != k {
-                for c in 0..n {
-                    self.lu.swap(k * n + c, pr * n + c);
+            let p = self.dense.swaps[k];
+            if self.verify {
+                let (mut best, mut mag) = (k, lu[k * n + k].abs());
+                for &r in &self.cands[self.cand_ptr[k]..self.cand_ptr[k + 1]] {
+                    let m = lu[r as usize * n + k].abs();
+                    if m > mag {
+                        best = r as usize;
+                        mag = m;
+                    }
+                }
+                if best != p || mag < self.tol {
+                    return Err(Halt::Pivot(k));
                 }
             }
-            let pivot = self.lu[k * n + k];
-            if pivot.abs() < self.tol {
-                return Err(Error::SingularMatrix { row: k });
+            if p != k {
+                for c in k..n {
+                    lu.swap(k * n + c, p * n + c);
+                }
             }
-            // One reciprocal per stage instead of one divide per
-            // multiplier row; the divide's long latency otherwise
-            // serialises the elimination of short rows.
-            let inv = 1.0 / pivot;
-            self.inv_diag[k] = inv;
-            // Row k is final once stage k starts: snapshot its U values
-            // into the packed solve array.
-            for j in self.ucol_ptr[k]..self.ucol_ptr[k + 1] {
-                self.uvals[j] = self.lu[k * n + self.ucols[j] as usize];
+            let pivot = lu[k * n + k];
+            if self.verify {
+                if !pivot.is_finite() {
+                    // The dense sweep divides every row below by this
+                    // pivot, structural or not, and 0 / NaN is NaN.
+                    return Err(Halt::NonFinite);
+                }
+            } else {
+                if pivot.abs() < self.tol {
+                    return Err(Halt::Pivot(k));
+                }
+                // One reciprocal per stage instead of one divide per
+                // multiplier row; the divide's long latency otherwise
+                // serialises the elimination of short rows.
+                self.inv_diag[k] = 1.0 / pivot;
             }
-            for i in self.mrow_ptr[k]..self.mrow_ptr[k + 1] {
-                let r = self.mrows[i] as usize;
-                let factor = self.lu[r * n + k] * inv;
-                self.mvals[i] = factor;
+            let inv = self.inv_diag[k];
+            let ucols = &self.ucols[self.ucol_ptr[k]..self.ucol_ptr[k + 1]];
+            for &r in &self.mrows[self.mrow_ptr[k]..self.mrow_ptr[k + 1]] {
+                let r = r as usize;
+                let factor = if self.verify {
+                    lu[r * n + k] / pivot
+                } else {
+                    lu[r * n + k] * inv
+                };
                 if factor == 0.0 {
-                    self.lu[r * n + k] = 0.0;
+                    lu[r * n + k] = 0.0;
                     continue;
                 }
-                self.lu[r * n + k] = factor;
-                for j in self.ucol_ptr[k]..self.ucol_ptr[k + 1] {
-                    let c = self.ucols[j] as usize;
-                    self.lu[r * n + c] -= factor * self.lu[k * n + c];
+                if self.verify && !factor.is_finite() {
+                    return Err(Halt::NonFinite);
+                }
+                lu[r * n + k] = factor;
+                for &c in ucols {
+                    let c = c as usize;
+                    lu[r * n + c] -= factor * lu[k * n + c];
                 }
             }
         }
         Ok(())
     }
 
-    /// Fresh dense partial-pivot factorization (same algorithm and pivot
-    /// acceptance as [`LuFactors::factor_with`]), recording the swaps.
-    #[allow(clippy::needless_range_loop)] // mirrors LuFactors; pivot structure
-    fn dense_factor(&mut self) -> Result<(), Error> {
-        let n = self.n;
-        let scale = self
-            .lu
-            .iter()
-            .fold(0.0f64, |m, &v| m.max(v.abs()))
-            .max(1e-30);
-        self.tol = scale * 1e-14;
-        for k in 0..n {
-            let mut pivot_row = k;
-            let mut pivot_mag = self.lu[k * n + k].abs();
-            for r in (k + 1)..n {
-                let mag = self.lu[r * n + k].abs();
-                if mag > pivot_mag {
-                    pivot_mag = mag;
-                    pivot_row = r;
-                }
-            }
-            if pivot_mag < self.tol {
-                return Err(Error::SingularMatrix { row: k });
-            }
-            self.swaps[k] = pivot_row;
-            if pivot_row != k {
-                for c in 0..n {
-                    self.lu.swap(k * n + c, pivot_row * n + c);
-                }
-            }
-            let pivot = self.lu[k * n + k];
-            for r in (k + 1)..n {
-                let factor = self.lu[r * n + k] / pivot;
-                if factor == 0.0 {
-                    self.lu[r * n + k] = 0.0;
-                    continue;
-                }
-                self.lu[r * n + k] = factor;
-                for c in (k + 1)..n {
-                    self.lu[r * n + c] -= factor * self.lu[k * n + c];
-                }
-            }
+    /// Symbolically eliminates the pattern under the recorded pivot
+    /// sequence, storing each stage's candidate rows, multiplier rows and
+    /// update columns (fill-in included).
+    fn record_structure(&mut self) {
+        let n = self.dense.n;
+        let words = n.div_ceil(64);
+        let mut pat = self.pattern.clone();
+        for list in [&mut self.cands, &mut self.mrows, &mut self.ucols] {
+            list.clear();
         }
-        Ok(())
-    }
-
-    /// Symbolically eliminates `pattern` under the recorded pivot
-    /// sequence, storing the resulting multiplier-row and update-column
-    /// lists (fill-in included).
-    fn record_structure(&mut self, pattern: &[u64]) {
-        let n = self.n;
-        let chunks = n.div_ceil(64);
-        debug_assert_eq!(pattern.len(), n * chunks);
-        let mut pat = pattern.to_vec();
-        self.mrows.clear();
-        self.ucols.clear();
-        self.mrow_ptr.clear();
-        self.ucol_ptr.clear();
-        self.mrow_ptr.push(0);
-        self.ucol_ptr.push(0);
-        let bit = |pat: &[u64], r: usize, c: usize| pat[r * chunks + c / 64] >> (c % 64) & 1 == 1;
+        for ptr in [&mut self.cand_ptr, &mut self.mrow_ptr, &mut self.ucol_ptr] {
+            ptr.clear();
+            ptr.push(0);
+        }
+        let bit = |pat: &[u64], r: usize, c: usize| pat[r * words + c / 64] >> (c % 64) & 1 == 1;
         for k in 0..n {
-            let pr = self.swaps[k];
-            if pr != k {
-                for ch in 0..chunks {
-                    pat.swap(k * chunks + ch, pr * chunks + ch);
+            self.cands
+                .extend(((k + 1)..n).filter(|&r| bit(&pat, r, k)).map(|r| r as u32));
+            let p = self.dense.swaps[k];
+            if p != k {
+                for w in 0..words {
+                    pat.swap(k * words + w, p * words + w);
                 }
             }
-            for c in (k + 1)..n {
-                if bit(&pat, k, c) {
-                    self.ucols.push(c as u32);
-                }
-            }
+            self.ucols
+                .extend(((k + 1)..n).filter(|&c| bit(&pat, k, c)).map(|c| c as u32));
             for r in (k + 1)..n {
                 if bit(&pat, r, k) {
                     self.mrows.push(r as u32);
-                    // Fill-in: row r picks up row k's upper structure.
-                    for ch in 0..chunks {
-                        let mut add = pat[k * chunks + ch];
-                        // Mask off columns ≤ k (already eliminated).
-                        let lo = k + 1;
-                        if ch * 64 < lo {
-                            let drop = (lo - ch * 64).min(64);
-                            if drop == 64 {
-                                add = 0;
-                            } else {
-                                add &= !0u64 << drop;
-                            }
-                        }
-                        pat[r * chunks + ch] |= add;
+                    // Fill-in: row r picks up row k's structure. Columns
+                    // up to k come along too, but no later stage reads them.
+                    for w in 0..words {
+                        pat[r * words + w] |= pat[k * words + w];
                     }
                 }
             }
+            self.cand_ptr.push(self.cands.len());
             self.mrow_ptr.push(self.mrows.len());
             self.ucol_ptr.push(self.ucols.len());
-        }
-        self.inv_diag.resize(n, 0.0);
-        self.mvals.resize(self.mrows.len(), 0.0);
-        self.uvals.resize(self.ucols.len(), 0.0);
-        for k in 0..n {
-            self.inv_diag[k] = 1.0 / self.lu[k * n + k];
-            for j in self.ucol_ptr[k]..self.ucol_ptr[k + 1] {
-                self.uvals[j] = self.lu[k * n + self.ucols[j] as usize];
-            }
-            for i in self.mrow_ptr[k]..self.mrow_ptr[k + 1] {
-                self.mvals[i] = self.lu[self.mrows[i] as usize * n + k];
-            }
         }
         self.structured = true;
     }
 
-    /// Solves `A·x = rhs` in place against the last factorization,
-    /// walking only the recorded structure. Matches [`LuFactors::solve`]
-    /// on every structural position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs.len()` does not match the factored dimension or no
-    /// factorization has been recorded.
-    pub fn solve(&self, rhs: &mut [f64]) {
-        let n = self.n;
+    /// Forward and back substitution over the replayed factors, each
+    /// stage's exchange interleaved with its multipliers.
+    fn replay_solve(&self, rhs: &mut [f64]) {
+        let n = self.dense.n;
+        let lu = &self.dense.lu;
         assert_eq!(rhs.len(), n, "rhs length must equal matrix dimension");
-        assert!(self.structured, "solve called before factor_with");
         for k in 0..n {
-            let pr = self.swaps[k];
-            if pr != k {
-                rhs.swap(k, pr);
-            }
-        }
-        for k in 0..n {
+            rhs.swap(k, self.dense.swaps[k]);
             let xk = rhs[k];
-            for i in self.mrow_ptr[k]..self.mrow_ptr[k + 1] {
-                let factor = self.mvals[i];
+            for &r in &self.mrows[self.mrow_ptr[k]..self.mrow_ptr[k + 1]] {
+                let factor = lu[r as usize * n + k];
                 if factor != 0.0 {
-                    rhs[self.mrows[i] as usize] -= factor * xk;
+                    rhs[r as usize] -= factor * xk;
                 }
             }
         }
         for k in (0..n).rev() {
             let mut sum = rhs[k];
-            for j in self.ucol_ptr[k]..self.ucol_ptr[k + 1] {
-                sum -= self.uvals[j] * rhs[self.ucols[j] as usize];
+            for &c in &self.ucols[self.ucol_ptr[k]..self.ucol_ptr[k + 1]] {
+                sum -= lu[k * n + c as usize] * rhs[c as usize];
             }
-            rhs[k] = sum * self.inv_diag[k];
+            rhs[k] = if self.verify {
+                sum / lu[k * n + k]
+            } else {
+                sum * self.inv_diag[k]
+            };
         }
     }
 }
@@ -856,7 +783,6 @@ mod tests {
         }
         let mut lu = LuFactors::new(n);
         lu.factor_from(&m).unwrap();
-        assert_eq!(lu.dim(), n);
         for _ in 0..4 {
             let rhs0: Vec<f64> = (0..n).map(|_| next()).collect();
             let mut direct = rhs0.clone();
@@ -899,7 +825,7 @@ mod tests {
     // ------------------------------------------- SparseReplayLu
 
     /// Row-major bitmask pattern of `m`'s nonzeros, `ceil(n/64)` words
-    /// per row (the format `SparseReplayLu::factor_with` expects).
+    /// per row (the format `SparseReplayLu::set_pattern` expects).
     fn pattern_of(m: &DenseMatrix) -> Vec<u64> {
         let n = m.dim();
         let words = n.div_ceil(64);
@@ -912,6 +838,36 @@ mod tests {
             }
         }
         pat
+    }
+
+    /// Factors `m` and solves `rhs` the way a plan drives the engine.
+    fn replay_solve(
+        lu: &mut SparseReplayLu,
+        m: &DenseMatrix,
+        rhs: &mut [f64],
+    ) -> Result<(), Error> {
+        let fill = |buf: &mut [f64]| buf.copy_from_slice(m.as_slice());
+        lu.factor(fill)?;
+        lu.solve(rhs, fill)
+    }
+
+    fn assert_bitwise(want: &[f64], got: &[f64], what: &str) {
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what} x[{i}]: dense {a} vs replay {b}"
+            );
+        }
+    }
+
+    fn assert_close(want: &[f64], got: &[f64], rel: f64, what: &str) {
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
+            assert!(
+                (a - b).abs() <= rel * a.abs().max(1.0),
+                "{what} x[{i}]: dense {a} vs replay {b}"
+            );
+        }
     }
 
     /// A sparse diagonally-loaded test matrix shaped like a small MNA
@@ -933,24 +889,70 @@ mod tests {
     fn sparse_replay_matches_dense_solution() {
         for (n, seed) in [(1usize, 31u64), (4, 37), (9, 41), (17, 43), (30, 47)] {
             let m = sparse_system(n, seed);
+            // Same pivot order, different values: the second factorization
+            // replays the structure the first recorded.
+            let mut m2 = m.clone();
+            for r in 0..n {
+                m2.add(r, r, 0.25);
+            }
             let mut next = lcg(seed ^ 0xABCD);
             let rhs0: Vec<f64> = (0..n).map(|_| next()).collect();
-
-            let mut direct = rhs0.clone();
-            m.clone().solve_in_place(&mut direct).unwrap();
-
-            let mut slu = SparseReplayLu::new(n);
-            slu.factor_with(n, &pattern_of(&m), |buf| buf.copy_from_slice(m.as_slice()))
-                .unwrap();
-            let mut replayed = rhs0.clone();
-            slu.solve(&mut replayed);
-
-            for (i, (a, b)) in direct.iter().zip(&replayed).enumerate() {
-                assert!(
-                    (a - b).abs() <= 1e-12 * a.abs().max(1.0),
-                    "n={n} seed={seed} x[{i}]: dense {a} vs replay {b}"
-                );
+            for verify in [true, false] {
+                let mut lu = SparseReplayLu::new(n, verify);
+                lu.set_pattern(&pattern_of(&m));
+                for (step, mat) in [&m, &m2].into_iter().enumerate() {
+                    let mut direct = rhs0.clone();
+                    mat.clone().solve_in_place(&mut direct).unwrap();
+                    let mut replayed = rhs0.clone();
+                    replay_solve(&mut lu, mat, &mut replayed).unwrap();
+                    let what = format!("n={n} seed={seed} verify={verify} step={step}");
+                    if verify {
+                        assert_bitwise(&direct, &replayed, &what);
+                    } else {
+                        assert_close(&direct, &replayed, 1e-12, &what);
+                    }
+                }
+                assert_eq!(lu.dense_passes(), 1, "n={n} verify={verify}");
             }
+        }
+    }
+
+    /// V1 = 2 V at node a, R1 = 1 kΩ from a to b, L1 from b to ground as a
+    /// DC short. Unknowns (va, vb, i(V1), i(L1)). Both branch rows have a
+    /// zero diagonal, so partial pivoting exchanges rows, and a later
+    /// exchange moves a row that already holds an earlier stage's
+    /// multiplier.
+    #[test]
+    fn multipliers_follow_their_rows_through_later_exchanges() {
+        let g = 1e-3;
+        let mut m = DenseMatrix::zeros(4);
+        m.add(0, 0, g);
+        m.add(0, 1, -g);
+        m.add(1, 0, -g);
+        m.add(1, 1, g);
+        m.add(0, 2, 1.0);
+        m.add(2, 0, 1.0);
+        m.add(1, 3, 1.0);
+        m.add(3, 1, 1.0);
+        let rhs0 = [0.0, 0.0, 2.0, 0.0];
+        let mut direct = rhs0;
+        m.clone().solve_in_place(&mut direct).unwrap();
+        assert_close(&[2.0, 0.0, -2e-3, 2e-3], &direct, 1e-12, "dense");
+        for verify in [true, false] {
+            let mut lu = SparseReplayLu::new(4, verify);
+            lu.set_pattern(&pattern_of(&m));
+            // The first factorization is the dense pass, the second a replay.
+            for step in 0..2 {
+                let mut x = rhs0;
+                replay_solve(&mut lu, &m, &mut x).unwrap();
+                let what = format!("verify={verify} step={step}");
+                if verify {
+                    assert_bitwise(&direct, &x, &what);
+                } else {
+                    assert_close(&direct, &x, 1e-12, &what);
+                }
+            }
+            assert_eq!(lu.dense_passes(), 1, "verify={verify}");
         }
     }
 
@@ -958,22 +960,18 @@ mod tests {
     fn sparse_replay_refactorization_is_deterministic_and_tracks_values() {
         let n = 12;
         let m = sparse_system(n, 53);
-        let pat = pattern_of(&m);
-        let mut slu = SparseReplayLu::new(n);
-        slu.factor_with(n, &pat, |buf| buf.copy_from_slice(m.as_slice()))
-            .unwrap();
-        let mut a = vec![1.0; n];
-        slu.solve(&mut a);
+        let mut lu = SparseReplayLu::new(n, false);
+        lu.set_pattern(&pattern_of(&m));
+        let mut first = vec![1.0; n];
+        replay_solve(&mut lu, &m, &mut first).unwrap();
 
-        // Same values again: the replayed factorization must reproduce
-        // the recorded one bitwise (same swaps, same arithmetic).
-        slu.factor_with(n, &pat, |buf| buf.copy_from_slice(m.as_slice()))
-            .unwrap();
+        // Two replays of the same values: same swaps, same arithmetic.
+        let mut a = vec![1.0; n];
+        replay_solve(&mut lu, &m, &mut a).unwrap();
         let mut b = vec![1.0; n];
-        slu.solve(&mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        replay_solve(&mut lu, &m, &mut b).unwrap();
+        assert_bitwise(&a, &b, "repeat");
+        assert_close(&first, &a, 1e-12, "replay vs dense pass");
 
         // Perturbed values inside the same pattern: the replay must track
         // them, agreeing with a fresh dense solve to rounding.
@@ -981,47 +979,42 @@ mod tests {
         for r in 0..n {
             m2.add(r, r, 0.25);
         }
-        slu.factor_with(n, &pat, |buf| buf.copy_from_slice(m2.as_slice()))
-            .unwrap();
         let mut replayed = vec![1.0; n];
-        slu.solve(&mut replayed);
+        replay_solve(&mut lu, &m2, &mut replayed).unwrap();
         let mut direct = vec![1.0; n];
         m2.solve_in_place(&mut direct).unwrap();
-        for (x, y) in direct.iter().zip(&replayed) {
-            assert!((x - y).abs() <= 1e-12 * x.abs().max(1.0), "{x} vs {y}");
-        }
+        assert_close(&direct, &replayed, 1e-12, "perturbed");
+        assert_eq!(lu.dense_passes(), 1);
     }
 
     #[test]
     fn sparse_replay_falls_back_when_the_frozen_pivot_degrades() {
-        // First factorization freezes a pivot order for this matrix…
+        // First factorization records a pivot order for this matrix…
         let n = 6;
         let mut m = DenseMatrix::zeros(n);
         for r in 0..n {
             m.set(r, r, 4.0);
             m.set(r, (r + 1) % n, 1.0);
         }
-        let mut slu = SparseReplayLu::new(n);
-        // Pattern must cover both value sets (dense here, which is an
-        // allowed superset).
-        let full = vec![u64::MAX; n];
-        slu.factor_with(n, &full, |buf| buf.copy_from_slice(m.as_slice()))
-            .unwrap();
-
         // …then the values shift so that order's first pivot collapses.
-        // The replay must fail internally and transparently restructure
-        // with fresh pivoting instead of surfacing an error.
-        m.set(0, 0, 1e-18);
-        m.set(0, 1, 3.0);
-        m.set(1, 0, 2.0);
-        slu.factor_with(n, &full, |buf| buf.copy_from_slice(m.as_slice()))
-            .unwrap();
-        let mut replayed = vec![1.0; n];
-        slu.solve(&mut replayed);
-        let mut direct = vec![1.0; n];
-        m.clone().solve_in_place(&mut direct).unwrap();
-        for (x, y) in direct.iter().zip(&replayed) {
-            assert!((x - y).abs() <= 1e-10 * x.abs().max(1.0), "{x} vs {y}");
+        // The replay must hand over to a dense pass with fresh pivoting
+        // instead of surfacing an error. The pattern covers both value
+        // sets (dense here, which is an allowed superset).
+        let mut shifted = m.clone();
+        shifted.set(0, 0, 1e-18);
+        shifted.set(0, 1, 3.0);
+        shifted.set(1, 0, 2.0);
+        for verify in [true, false] {
+            let mut lu = SparseReplayLu::new(n, verify);
+            lu.set_pattern(&vec![u64::MAX; n]);
+            let mut x = vec![1.0; n];
+            replay_solve(&mut lu, &m, &mut x).unwrap();
+            let mut replayed = vec![1.0; n];
+            replay_solve(&mut lu, &shifted, &mut replayed).unwrap();
+            let mut direct = vec![1.0; n];
+            shifted.clone().solve_in_place(&mut direct).unwrap();
+            assert_bitwise(&direct, &replayed, &format!("verify={verify}"));
+            assert_eq!(lu.dense_passes(), 2, "verify={verify}");
         }
     }
 
@@ -1029,26 +1022,22 @@ mod tests {
     fn sparse_replay_invalidate_structure_forces_rerecord() {
         let n = 8;
         let m = sparse_system(n, 59);
-        let pat = pattern_of(&m);
-        let mut slu = SparseReplayLu::new(n);
-        slu.factor_with(n, &pat, |buf| buf.copy_from_slice(m.as_slice()))
-            .unwrap();
+        let mut lu = SparseReplayLu::new(n, true);
+        lu.set_pattern(&pattern_of(&m));
+        let mut x = vec![1.0; n];
+        replay_solve(&mut lu, &m, &mut x).unwrap();
 
         // A matrix with a *different* sparsity pattern is only legal after
-        // invalidation (the caller's contract when the base plan rebuilds).
+        // the pattern is replaced (the caller's contract when the base
+        // plan rebuilds).
         let m2 = sparse_system(n, 61);
-        slu.invalidate_structure();
-        slu.factor_with(n, &pattern_of(&m2), |buf| {
-            buf.copy_from_slice(m2.as_slice())
-        })
-        .unwrap();
+        lu.set_pattern(&pattern_of(&m2));
         let mut replayed = vec![1.0; n];
-        slu.solve(&mut replayed);
+        replay_solve(&mut lu, &m2, &mut replayed).unwrap();
         let mut direct = vec![1.0; n];
         m2.clone().solve_in_place(&mut direct).unwrap();
-        for (x, y) in direct.iter().zip(&replayed) {
-            assert!((x - y).abs() <= 1e-12 * x.abs().max(1.0), "{x} vs {y}");
-        }
+        assert_bitwise(&direct, &replayed, "new pattern");
+        assert_eq!(lu.dense_passes(), 2);
     }
 
     #[test]
@@ -1061,10 +1050,191 @@ mod tests {
         m.set(1, 1, 1.0);
         m.set(2, 0, 2.0);
         m.set(2, 1, 1.0);
-        let mut slu = SparseReplayLu::new(n);
-        let got = slu.factor_with(n, &vec![u64::MAX; n], |buf| {
-            buf.copy_from_slice(m.as_slice())
-        });
-        assert!(matches!(got, Err(Error::SingularMatrix { .. })), "{got:?}");
+        let want = m.clone().solve_in_place(&mut [1.0; 3]);
+        let Err(Error::SingularMatrix { row }) = want else {
+            panic!("dense solve accepted a rank-2 matrix: {want:?}");
+        };
+        for verify in [true, false] {
+            let mut lu = SparseReplayLu::new(n, verify);
+            lu.set_pattern(&vec![u64::MAX; n]);
+            let got = replay_solve(&mut lu, &m, &mut [1.0; 3]);
+            assert_eq!(got, Err(Error::SingularMatrix { row }), "verify={verify}");
+        }
+    }
+
+    /// A random family of MNA-like systems sharing one pattern: `nodes`
+    /// node rows joined by conductances, then one zero-diagonal branch row
+    /// per voltage source. Each draw sums every entry from `+0.0`, as
+    /// assembly does, with values from a palette that makes exact
+    /// magnitude ties, pivot flips between draws, floating (singular)
+    /// nodes and, rarely, non-finite conductances or source values.
+    struct MnaFamily {
+        nodes: usize,
+        edges: Vec<(usize, Option<usize>)>,
+        sources: Vec<(usize, Option<usize>)>,
+    }
+
+    impl MnaFamily {
+        fn new(next: &mut impl FnMut() -> u64) -> Self {
+            let mut pick = |k: usize| (next() % k as u64) as usize;
+            let nodes = 2 + pick(7);
+            // Two terminals; an out-of-range or repeated second one is
+            // ground.
+            let mut branch = || {
+                let (a, b) = (pick(nodes), pick(nodes + 1));
+                (a, (b < nodes && b != a).then_some(b))
+            };
+            let edges = (0..nodes + 3).map(|_| branch()).collect();
+            let sources = (0..nodes % 3).map(|_| branch()).collect();
+            MnaFamily {
+                nodes,
+                edges,
+                sources,
+            }
+        }
+
+        fn dim(&self) -> usize {
+            self.nodes + self.sources.len()
+        }
+
+        /// One system `(A, b)` of the family.
+        fn draw(&self, next: &mut impl FnMut() -> u64) -> (DenseMatrix, Vec<f64>) {
+            let mut value = || match next() % 256 {
+                0..=7 => 0.0,
+                8..=71 => 1.0,
+                72..=87 => 0.5,
+                88..=103 => 2.0,
+                104..=111 => 1e-12,
+                112..=127 => 1e3,
+                128 => f64::NAN,
+                129 => f64::INFINITY,
+                k => 10f64.powf((k - 130) as f64 / 10.5 - 6.0),
+            };
+            let mut m = DenseMatrix::zeros(self.dim());
+            let mut rhs = vec![0.0; self.dim()];
+            for &(a, b) in &self.edges {
+                let g = value();
+                m.add(a, a, g);
+                if let Some(b) = b {
+                    m.add(a, b, -g);
+                    m.add(b, b, g);
+                    m.add(b, a, -g);
+                }
+            }
+            for (j, &(a, b)) in self.sources.iter().enumerate() {
+                let row = self.nodes + j;
+                m.add(a, row, 1.0);
+                m.add(row, a, 1.0);
+                if let Some(b) = b {
+                    m.add(b, row, -1.0);
+                    m.add(row, b, -1.0);
+                }
+                rhs[row] += value();
+            }
+            for r in rhs.iter_mut().take(self.nodes) {
+                // Injected currents; a palette zero leaves the row at +0.
+                *r -= value();
+            }
+            (m, rhs)
+        }
+
+        /// Every position a draw can write, plus the diagonal.
+        fn pattern(&self) -> Vec<u64> {
+            let mut m = DenseMatrix::zeros(self.dim());
+            for r in 0..self.dim() {
+                m.set(r, r, 1.0);
+            }
+            for &(a, b) in self.edges.iter().chain(&self.sources) {
+                m.set(a, a, 1.0);
+                if let Some(b) = b {
+                    m.set(a, b, 1.0);
+                    m.set(b, a, 1.0);
+                }
+            }
+            for (j, &(a, b)) in self.sources.iter().enumerate() {
+                let row = self.nodes + j;
+                for t in [Some(a), b].into_iter().flatten() {
+                    m.set(t, row, 1.0);
+                    m.set(row, t, 1.0);
+                }
+            }
+            pattern_of(&m)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(400))]
+
+        /// Over random sequences of MNA-like systems, the verified replay
+        /// gives the same `Ok` bits or the same `SingularMatrix` row as a
+        /// fresh `solve_in_place`, on factor misses and on factorization
+        /// reuse with a new right-hand side.
+        #[test]
+        fn verified_replay_is_bitwise_identical_to_solve_in_place(seed in proptest::any::<u64>()) {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let family = MnaFamily::new(&mut next);
+            let mut lu = SparseReplayLu::new(family.dim(), true);
+            lu.set_pattern(&family.pattern());
+            for step in 0..12 {
+                let (m, rhs) = family.draw(&mut next);
+                let (_, rhs2) = family.draw(&mut next);
+                let fill = |buf: &mut [f64]| buf.copy_from_slice(m.as_slice());
+                let mut want = rhs.clone();
+                let want_result = m.clone().solve_in_place(&mut want);
+                let mut got = rhs.clone();
+                let got_result = lu.factor(fill).and_then(|()| lu.solve(&mut got, fill));
+                proptest::prop_assert_eq!(&got_result, &want_result, "step {}", step);
+                if want_result.is_ok() {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    proptest::prop_assert_eq!(bits(&got), bits(&want), "step {}", step);
+                    // Factorization reuse, as a plan's factorization cache does.
+                    let mut want2 = rhs2.clone();
+                    m.clone().solve_in_place(&mut want2).unwrap();
+                    let mut got2 = rhs2;
+                    lu.solve(&mut got2, fill).unwrap();
+                    proptest::prop_assert_eq!(bits(&got2), bits(&want2), "step {} reuse", step);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn verified_replay_replays_until_the_pivot_order_flips() {
+        // Node 0 to ground through g, a 1 Ω resistor from node 0 to node
+        // 1 and a source row on node 0. Once stage 0 eliminates node 0,
+        // column 1 holds g / (1 + g) on node 1's row and 1 / (1 + g) on
+        // the source row, so stage 1 pivots on the source row while g < 1
+        // and on node 1's row once g > 1.
+        let system = |g: f64| {
+            let mut m = DenseMatrix::zeros(3);
+            m.add(0, 0, g);
+            m.add(0, 0, 1.0);
+            m.add(0, 1, -1.0);
+            m.add(1, 1, 1.0);
+            m.add(1, 0, -1.0);
+            m.add(0, 2, 1.0);
+            m.add(2, 0, 1.0);
+            m
+        };
+        let mut lu = SparseReplayLu::new(3, true);
+        lu.set_pattern(&pattern_of(&system(1.0)));
+        let mut passes = Vec::new();
+        for g in [1e-3, 1e-2, 1e-1, 0.5, 2.0, 4.0, 8.0] {
+            let m = system(g);
+            let mut want = vec![0.0, 1e-3, 1.5];
+            m.clone().solve_in_place(&mut want).unwrap();
+            let mut got = vec![0.0, 1e-3, 1.5];
+            replay_solve(&mut lu, &m, &mut got).unwrap();
+            assert_bitwise(&want, &got, &format!("g={g}"));
+            passes.push(lu.dense_passes());
+        }
+        // One cold start, replays, one fallback at the flip, replays.
+        assert_eq!(passes, [1, 1, 1, 1, 2, 2, 2]);
     }
 }

@@ -51,7 +51,7 @@ use crate::error::Error;
 use crate::netlist::Circuit;
 
 /// Schema identifier written as the first line of every JSONL trace.
-pub const TRACE_SCHEMA: &str = "mssim-trace-v3";
+pub const TRACE_SCHEMA: &str = "mssim-trace-v4";
 
 /// Public snapshot of the plan solver's work counters.
 ///
@@ -63,9 +63,14 @@ pub const TRACE_SCHEMA: &str = "mssim-trace-v3";
 pub struct SolverCounters {
     /// Newton iterations executed.
     pub iterations: u64,
-    /// Full O(n³) LU factorizations performed.
+    /// LU factorizations performed: sparse replays of a recorded pivot
+    /// sequence, or dense partial-pivot passes.
     pub factorizations: u64,
-    /// O(n²) back-substitutions performed.
+    /// Dense partial-pivot passes run instead of a replay: the first
+    /// factorization after each pattern rebuild, and each replay whose
+    /// pivots could not be verified (or whose frozen pivot degraded).
+    pub pivot_fallbacks: u64,
+    /// Triangular solves performed.
     pub back_substitutions: u64,
     /// Linear solves skipped because the assembled system was bit-identical
     /// to the previous one (solution cache or Newton bypass).
@@ -91,6 +96,7 @@ impl SolverCounters {
         SolverCounters {
             iterations: self.iterations.saturating_sub(before.iterations),
             factorizations: self.factorizations.saturating_sub(before.factorizations),
+            pivot_fallbacks: self.pivot_fallbacks.saturating_sub(before.pivot_fallbacks),
             back_substitutions: self
                 .back_substitutions
                 .saturating_sub(before.back_substitutions),
@@ -108,6 +114,7 @@ impl From<SolverStats> for SolverCounters {
         SolverCounters {
             iterations: s.iterations,
             factorizations: s.factorizations,
+            pivot_fallbacks: s.pivot_fallbacks,
             back_substitutions: s.back_substitutions,
             bypasses: s.bypasses,
             rebases: s.rebases,
@@ -322,9 +329,9 @@ impl<T: Observer + ?Sized> Observer for &mut T {
 /// histograms it implies. One place defines the vocabulary:
 ///
 /// * `newton.solves`, `newton.iterations`, `plan.factorizations`,
-///   `plan.back_substitutions`, `plan.bypasses`, `plan.rebases`,
-///   `newton.device_evals`, `newton.limit_clamps`, `newton.latency_hits`,
-///   histogram `newton.max_dv`
+///   `plan.pivot_fallbacks`, `plan.back_substitutions`, `plan.bypasses`,
+///   `plan.rebases`, `newton.device_evals`, `newton.limit_clamps`,
+///   `newton.latency_hits`, histogram `newton.max_dv`
 /// * `homotopy.direct_attempts`, `homotopy.gmin_steps`,
 ///   `homotopy.source_steps`
 /// * `tran.steps_accepted`, histogram `tran.dt`
@@ -355,6 +362,7 @@ pub fn dispatch(obs: &mut dyn Observer, event: &Event) {
             obs.counter("newton.iterations", iterations);
             if let Some(p) = plan {
                 obs.counter("plan.factorizations", p.factorizations);
+                obs.counter("plan.pivot_fallbacks", p.pivot_fallbacks);
                 obs.counter("plan.back_substitutions", p.back_substitutions);
                 obs.counter("plan.bypasses", p.bypasses);
                 obs.counter("plan.rebases", p.rebases);
@@ -537,6 +545,7 @@ impl<'a> Probe<'a> {
                 if let Some(p) = plan {
                     self.counter("newton.iterations", p.iterations);
                     self.counter("plan.factorizations", p.factorizations);
+                    self.counter("plan.pivot_fallbacks", p.pivot_fallbacks);
                     self.counter("plan.back_substitutions", p.back_substitutions);
                     self.counter("plan.bypasses", p.bypasses);
                     self.counter("plan.rebases", p.rebases);
@@ -622,9 +631,10 @@ fn push_json_f64(buf: &mut String, v: f64) {
 
 fn push_json_counters(buf: &mut String, c: &SolverCounters) {
     buf.push_str(&format!(
-        "{{\"iterations\":{},\"factorizations\":{},\"back_substitutions\":{},\"bypasses\":{},\"rebases\":{},\"device_evals\":{},\"limit_clamps\":{},\"latency_hits\":{}}}",
+        "{{\"iterations\":{},\"factorizations\":{},\"pivot_fallbacks\":{},\"back_substitutions\":{},\"bypasses\":{},\"rebases\":{},\"device_evals\":{},\"limit_clamps\":{},\"latency_hits\":{}}}",
         c.iterations,
         c.factorizations,
+        c.pivot_fallbacks,
         c.back_substitutions,
         c.bypasses,
         c.rebases,
@@ -790,7 +800,7 @@ fn event_json(event: &Event) -> String {
 
 /// Schema-versioned JSONL event sink.
 ///
-/// The first line written is a header `{"schema":"mssim-trace-v3"}`; each
+/// The first line written is a header `{"schema":"mssim-trace-v4"}`; each
 /// subsequent line is one event. Counters and histograms are not written —
 /// they are derivable from the event stream by replaying it through the
 /// same dispatcher.
@@ -980,6 +990,7 @@ mod tests {
                 plan: Some(SolverCounters {
                     iterations: 3,
                     factorizations: 1,
+                    pivot_fallbacks: 1,
                     back_substitutions: 3,
                     bypasses: 0,
                     rebases: 1,
@@ -1023,6 +1034,7 @@ mod tests {
                 counters: SolverCounters {
                     iterations: 3,
                     factorizations: 1,
+                    pivot_fallbacks: 1,
                     back_substitutions: 3,
                     bypasses: 0,
                     rebases: 1,
@@ -1076,6 +1088,7 @@ mod tests {
         assert_eq!(rec.counter_value("newton.solves"), 1);
         assert_eq!(rec.counter_value("newton.iterations"), 3);
         assert_eq!(rec.counter_value("plan.factorizations"), 1);
+        assert_eq!(rec.counter_value("plan.pivot_fallbacks"), 1);
         assert_eq!(rec.counter_value("plan.back_substitutions"), 3);
         assert_eq!(rec.counter_value("plan.rebases"), 1);
         assert_eq!(rec.counter_value("homotopy.gmin_steps"), 1);
@@ -1125,6 +1138,7 @@ mod tests {
         }
         assert!(text.contains("\"event\":\"newton_solve\""));
         assert!(text.contains("\"iterations\":3"));
+        assert!(text.contains("\"factorizations\":1,\"pivot_fallbacks\":1,"));
         assert!(text.contains("\"event\":\"step_accepted\",\"time\":2e-9,\"dt\":1e-9}"));
         assert!(text.contains("\"max_dv\":0.5"));
         assert!(text.contains("\"event\":\"rescue_attempt\""));

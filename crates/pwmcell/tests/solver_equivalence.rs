@@ -12,6 +12,12 @@
 //! limited-plan work is a deterministic ratio where a wall-clock speedup
 //! is a noisy estimate. Each ratio must stay at or above its floor and at
 //! or above 0.75 × the ratio its fixture recorded when the bound was set.
+//!
+//! The exact plan's factorizations replay the pivot sequence and fill-in
+//! of an earlier dense elimination unless the replay cannot verify a
+//! pivot. The share that replays is held to the same rule, so a change
+//! that sends every factorization down the dense pass fails here while
+//! every waveform stays bitwise.
 
 use mssim::prelude::*;
 use mssim::telemetry::MemoryRecorder;
@@ -32,6 +38,9 @@ const FLOOR: f64 = 1.0;
 /// less often than the reference.
 const MOS_ADDER_FLOOR: f64 = 5.0;
 
+/// At least half of the exact plan's factorizations must replay.
+const REPLAY_FLOOR: f64 = 0.5;
+
 /// A recorded ratio may fall by at most a quarter.
 const SLACK: f64 = 0.75;
 
@@ -51,6 +60,10 @@ struct Divergence {
     /// on every iteration.
     exact_device_evals: u64,
     limited_device_evals: u64,
+    /// Factorizations of the exact plan, and those that ran the dense
+    /// pass instead of a replay.
+    exact_factorizations: u64,
+    exact_pivot_fallbacks: u64,
 }
 
 impl Divergence {
@@ -69,6 +82,8 @@ impl Divergence {
             limited_factorizations: limited_arm.counter_value("plan.factorizations"),
             exact_device_evals: exact_arm.counter_value("newton.device_evals"),
             limited_device_evals: limited_arm.counter_value("newton.device_evals"),
+            exact_factorizations: exact_arm.counter_value("plan.factorizations"),
+            exact_pivot_fallbacks: exact_arm.counter_value("plan.pivot_fallbacks"),
         }
     }
 
@@ -98,19 +113,29 @@ impl Divergence {
         let counts = (self.exact_device_evals, self.limited_device_evals);
         assert_ratio(fixture, "device-evaluation", counts, floor, recorded);
     }
+
+    /// Replayed ÷ all factorizations of the exact plan, against
+    /// `REPLAY_FLOOR` and the `recorded` (replayed, factorizations) counts.
+    fn assert_replay_share(&self, fixture: &str, recorded: (u64, u64)) {
+        let replayed = self
+            .exact_factorizations
+            .saturating_sub(self.exact_pivot_fallbacks);
+        let counts = (replayed, self.exact_factorizations);
+        assert_ratio(fixture, "exact-plan replay", counts, REPLAY_FLOOR, recorded);
+    }
 }
 
 fn assert_ratio(fixture: &str, work: &str, counts: (u64, u64), floor: f64, recorded: (u64, u64)) {
-    let (reference, limited) = counts;
+    let (num, den) = counts;
     assert!(
-        reference > 0 && limited > 0,
-        "{fixture}: no {work} work counted ({reference} / {limited})"
+        num > 0 && den > 0,
+        "{fixture}: no {work} work counted ({num} / {den})"
     );
-    let ratio = reference as f64 / limited as f64;
+    let ratio = num as f64 / den as f64;
     let bound = floor.max(SLACK * recorded.0 as f64 / recorded.1 as f64);
     assert!(
         ratio >= bound,
-        "{fixture}: {work} ratio {reference} / {limited} = {ratio:.2} is below {bound:.2} \
+        "{fixture}: {work} ratio {num} / {den} = {ratio:.2} is below {bound:.2} \
          (floor {floor}, recorded {} / {})",
         recorded.0,
         recorded.1
@@ -225,6 +250,7 @@ fn inverter_matches_reference() {
     d.assert_within_tolerances("inverter");
     d.assert_factorization_ratio("inverter", FLOOR, (3170, 268));
     d.assert_device_eval_ratio("inverter", FLOOR, (6326, 536));
+    d.assert_replay_share("inverter", (3157, 3159));
 }
 
 /// Switch-level 3×3 adder: its Jacobian is piecewise constant between
@@ -271,6 +297,7 @@ fn mos_adder3x3_matches_reference() {
     d.assert_within_tolerances("mos_adder3x3");
     d.assert_factorization_ratio("mos_adder3x3", MOS_ADDER_FLOOR, (1195, 184));
     d.assert_device_eval_ratio("mos_adder3x3", MOS_ADDER_FLOOR, (64530, 4173));
+    d.assert_replay_share("mos_adder3x3", (1193, 1195));
 }
 
 /// Generated 8×8 switch-level adder: larger arrays than the paper's 3×3.

@@ -731,9 +731,11 @@ pub(crate) struct SolverStats {
     pub iterations: u64,
     /// LU factorizations performed (replayed or dense).
     pub factorizations: u64,
-    /// Factorizations that ran the dense partial-pivot pass instead of a
-    /// replay: the first after each pattern rebuild, and each replay whose
-    /// pivots could not be verified (or whose frozen pivot degraded).
+    /// Factorizations whose factors came from the dense partial-pivot
+    /// pass instead of a replay: the first after each pattern rebuild,
+    /// each replay whose pivots could not be verified (or whose frozen
+    /// pivot degraded), and each replayed solve redone densely because it
+    /// came out non-finite.
     pub pivot_fallbacks: u64,
     /// Triangular solves performed.
     pub back_substitutions: u64,
@@ -997,10 +999,7 @@ impl PlanSolver {
 
     /// Work counters accumulated since construction.
     pub fn stats(&self) -> SolverStats {
-        SolverStats {
-            pivot_fallbacks: self.lu.dense_passes(),
-            ..self.stats
-        }
+        self.stats
     }
 
     /// Maximum node-voltage update of the most recent Newton iteration.
@@ -1453,16 +1452,20 @@ impl PlanSolver {
         };
         // Until both succeed the stored factors may be partial.
         *lu_valid = false;
+        let mut dense = false;
         if !lu_hit {
-            lu.factor(fill)?;
+            dense = lu.factor(fill)?;
         }
-        lu.solve(rhs, fill)?;
+        // A replayed solve redone densely refactors the matrix, even on a
+        // factorization-cache hit.
+        dense |= lu.solve(rhs, fill)?;
         self.lu_valid = true;
-        if !lu_hit {
+        if !lu_hit || dense {
             self.lu_base_gen = self.base_gen;
             self.lu_iter_mat_gen = self.iter_mat_gen;
             self.lu_dyn_mat_gen = self.dyn_mat_gen;
             self.stats.factorizations += 1;
+            self.stats.pivot_fallbacks += u64::from(dense);
         }
         self.stats.back_substitutions += 1;
         self.prev_base_gen = self.base_gen;

@@ -296,7 +296,7 @@ enum Halt {
     /// The pivot of this stage could not be used: it was not the one
     /// partial pivoting picks (verified) or fell under the threshold.
     Pivot(usize),
-    /// A verified replay met a non-finite pivot or multiplier.
+    /// The replay met a non-finite pivot or multiplier.
     NonFinite,
 }
 
@@ -311,24 +311,27 @@ enum Halt {
 /// positions, which on a sparse MNA system cuts the O(n³) sweep to about
 /// the factors' nonzero count; the solves walk the same structure.
 ///
-/// Two contracts, chosen at construction:
+/// The replay does the dense code's arithmetic on the structural entries,
+/// dividing each multiplier by the pivot. Skipping non-structural entries
+/// is exact because they hold `+0.0` and the matrix and right-hand side
+/// never hold `−0.0` (assembly sums every entry from `+0.0`), so a
+/// skipped update would only subtract `±0` from an entry. A pivot under
+/// the singular-pivot threshold hands the factorization to the dense
+/// pass, and so does a non-finite pivot, multiplier or solution entry,
+/// after refilling the matrix (the dense sweep turns a skipped `0 · ∞` or
+/// `0 / NaN` into NaN). Two contracts, chosen at construction:
 ///
 /// * **Verified**: bitwise identical to [`DenseMatrix::solve_in_place`].
-///   At each stage the replay confirms, over the recorded pre-exchange
-///   candidate rows, that the recorded pivot is the first maximum partial
-///   pivoting would pick; it recomputes the singular-pivot threshold over
-///   the structural entries and divides as the dense code does. A pivot
-///   that fails at stage `k` continues the dense sweep from `k`, since
-///   the buffer holds exactly its state there. A non-finite multiplier or
-///   solution entry refills the matrix and takes the dense pass from the
-///   start. Skipping non-structural entries is exact because they hold
-///   `+0.0` and the matrix and right-hand side never hold `−0.0`
-///   (assembly sums every entry from `+0.0`), so a skipped update would
-///   only subtract `±0` from an entry.
-/// * **Frozen**: the recorded pivot order is trusted until a replayed
-///   pivot falls under the threshold of the last dense pass, and each
-///   stage multiplies by one reciprocal. Results agree with the dense
-///   solve to rounding, not bitwise.
+///   Each replay recomputes the threshold over the structural entries,
+///   and at each stage confirms, over the recorded pre-exchange candidate
+///   rows, that the recorded pivot is the first maximum partial pivoting
+///   would pick. A pivot that fails at stage `k` continues the dense
+///   sweep from `k`, since the buffer holds exactly its state there.
+/// * **Frozen**: trusts the recorded pivot order and the threshold of the
+///   last dense pass, so its results are bitwise identical to the dense
+///   solve's while partial pivoting would pick and accept the recorded
+///   pivots, and agree with them to rounding otherwise. A failed pivot
+///   refills the matrix for the dense pass.
 #[derive(Debug, Clone)]
 pub(crate) struct SparseReplayLu {
     /// Working buffer, pivot sequence and the dense pass. After a replay
@@ -352,8 +355,6 @@ pub(crate) struct SparseReplayLu {
     /// ascending.
     ucols: Vec<u32>,
     ucol_ptr: Vec<usize>,
-    /// Reciprocal of each frozen replay pivot.
-    inv_diag: Vec<f64>,
     /// Singular-pivot threshold of the current factorization (frozen: of
     /// the last dense pass).
     tol: f64,
@@ -361,8 +362,7 @@ pub(crate) struct SparseReplayLu {
     /// Whether the current factors came from a replay, so the solve walks
     /// the structure, rather than from the dense pass.
     replayed: bool,
-    dense_passes: u64,
-    /// Right-hand side of the current verified solve, kept to redo it
+    /// Right-hand side of the current replayed solve, kept to redo it
     /// densely.
     rhs_copy: Vec<f64>,
 }
@@ -382,20 +382,11 @@ impl SparseReplayLu {
             mrow_ptr: Vec::new(),
             ucols: Vec::new(),
             ucol_ptr: Vec::new(),
-            inv_diag: vec![0.0; n],
             tol: 0.0,
             structured: false,
             replayed: false,
-            dense_passes: 0,
             rhs_copy: vec![0.0; n],
         }
-    }
-
-    /// Dense passes run so far: the first factorization after each
-    /// [`SparseReplayLu::set_pattern`], every factorization whose replay
-    /// failed, and every verified solve redone densely.
-    pub fn dense_passes(&self) -> u64 {
-        self.dense_passes
     }
 
     /// Sets the structural nonzero pattern of the matrices the next
@@ -420,35 +411,49 @@ impl SparseReplayLu {
     }
 
     /// Factors the `n × n` matrix that `fill` assembles into the internal
-    /// buffer (overwriting all `n²` entries).
+    /// buffer (overwriting all `n²` entries). Returns whether the factors
+    /// came from the dense pass (the first factorization after
+    /// [`SparseReplayLu::set_pattern`], or a failed replay) rather than
+    /// from a replay.
     ///
     /// # Errors
     ///
     /// Returns [`Error::SingularMatrix`] when the dense pass finds no
     /// acceptable pivot, at the row [`DenseMatrix::solve_in_place`]
     /// reports.
-    pub fn factor(&mut self, fill: impl Fn(&mut [f64])) -> Result<(), Error> {
+    ///
+    /// # Panics
+    ///
+    /// Debug builds (and the `verify-release` feature) panic when `fill`
+    /// writes outside the pattern or writes a `−0.0`, the assembly
+    /// invariant that keeps the replay exact.
+    pub fn factor(&mut self, fill: impl Fn(&mut [f64])) -> Result<bool, Error> {
         fill(&mut self.dense.lu);
+        #[cfg(any(debug_assertions, feature = "verify-release"))]
+        self.assert_fill_in_pattern();
         if !self.structured {
-            return self.dense_pass(0);
+            self.dense_pass(0)?;
+            return Ok(true);
         }
         match self.replay() {
             Ok(()) => {
                 self.replayed = true;
-                Ok(())
+                return Ok(false);
             }
-            Err(Halt::Pivot(k)) if self.verify => self.dense_pass(k),
+            Err(Halt::Pivot(k)) if self.verify => self.dense_pass(k)?,
             Err(_) => {
                 fill(&mut self.dense.lu);
-                self.dense_pass(0)
+                self.dense_pass(0)?;
             }
         }
+        Ok(true)
     }
 
     /// Solves `A·x = rhs` in place against the last factorization, where
     /// `fill` assembles `A` as it did for [`SparseReplayLu::factor`]. A
-    /// verified solve whose replay yields a non-finite entry is redone
-    /// densely (the dense sweep turns a skipped `0 · ∞` into NaN).
+    /// replayed solve that yields a non-finite entry is redone densely (the
+    /// dense sweep turns a skipped `0 · ∞` into NaN), and then returns
+    /// `true`: the factors now come from the dense pass.
     ///
     /// # Errors
     ///
@@ -457,22 +462,37 @@ impl SparseReplayLu {
     /// # Panics
     ///
     /// Panics if `rhs.len()` does not match the factored dimension.
-    pub fn solve(&mut self, rhs: &mut [f64], fill: impl Fn(&mut [f64])) -> Result<(), Error> {
+    pub fn solve(&mut self, rhs: &mut [f64], fill: impl Fn(&mut [f64])) -> Result<bool, Error> {
         if !self.replayed {
             self.dense.solve(rhs);
-            return Ok(());
+            return Ok(false);
         }
-        if self.verify {
-            self.rhs_copy.copy_from_slice(rhs);
-        }
+        self.rhs_copy.copy_from_slice(rhs);
         self.replay_solve(rhs);
-        if self.verify && !rhs.iter().all(|v| v.is_finite()) {
-            fill(&mut self.dense.lu);
-            self.dense_pass(0)?;
-            rhs.copy_from_slice(&self.rhs_copy);
-            self.dense.solve(rhs);
+        if rhs.iter().all(|v| v.is_finite()) {
+            return Ok(false);
         }
-        Ok(())
+        fill(&mut self.dense.lu);
+        self.dense_pass(0)?;
+        rhs.copy_from_slice(&self.rhs_copy);
+        self.dense.solve(rhs);
+        Ok(true)
+    }
+
+    /// Checks the assembly invariant the skipped updates rely on: every
+    /// entry outside the pattern is `+0.0`, and no entry is `−0.0`.
+    #[cfg(any(debug_assertions, feature = "verify-release"))]
+    fn assert_fill_in_pattern(&self) {
+        let n = self.dense.n;
+        let words = n.div_ceil(64);
+        for (i, v) in self.dense.lu.iter().enumerate() {
+            let (r, c) = (i / n, i % n);
+            let structural = self.pattern[r * words + c / 64] >> (c % 64) & 1 == 1;
+            assert!(
+                v.to_bits() != (-0.0f64).to_bits() && (structural || v.to_bits() == 0),
+                "assembled entry ({r}, {c}) = {v:e} is -0 or outside the structural pattern"
+            );
+        }
     }
 
     /// Runs the dense elimination from stage `from` and records the
@@ -485,7 +505,6 @@ impl SparseReplayLu {
         }
         self.dense.eliminate(from, self.tol)?;
         self.record_structure();
-        self.dense_passes += 1;
         Ok(())
     }
 
@@ -493,6 +512,9 @@ impl SparseReplayLu {
     fn replay(&mut self) -> Result<(), Halt> {
         let n = self.dense.n;
         let lu = &mut self.dense.lu;
+        // Rescanning the structural entries on every frozen replay took
+        // about 9 % of the limited-mode fault campaign's time (perfbench
+        // campaigns, one CPU of a 2-vCPU VM).
         if self.verify {
             self.tol = pivot_tolerance(self.entries.iter().map(|&e| lu[e as usize]));
         }
@@ -507,45 +529,33 @@ impl SparseReplayLu {
                         mag = m;
                     }
                 }
-                if best != p || mag < self.tol {
+                if best != p {
                     return Err(Halt::Pivot(k));
                 }
+            }
+            let pivot = lu[p * n + k];
+            if pivot.abs() < self.tol {
+                return Err(Halt::Pivot(k));
+            }
+            if !pivot.is_finite() {
+                // The dense sweep divides every row below by this pivot,
+                // structural or not, and 0 / NaN is NaN.
+                return Err(Halt::NonFinite);
             }
             if p != k {
                 for c in k..n {
                     lu.swap(k * n + c, p * n + c);
                 }
             }
-            let pivot = lu[k * n + k];
-            if self.verify {
-                if !pivot.is_finite() {
-                    // The dense sweep divides every row below by this
-                    // pivot, structural or not, and 0 / NaN is NaN.
-                    return Err(Halt::NonFinite);
-                }
-            } else {
-                if pivot.abs() < self.tol {
-                    return Err(Halt::Pivot(k));
-                }
-                // One reciprocal per stage instead of one divide per
-                // multiplier row; the divide's long latency otherwise
-                // serialises the elimination of short rows.
-                self.inv_diag[k] = 1.0 / pivot;
-            }
-            let inv = self.inv_diag[k];
             let ucols = &self.ucols[self.ucol_ptr[k]..self.ucol_ptr[k + 1]];
             for &r in &self.mrows[self.mrow_ptr[k]..self.mrow_ptr[k + 1]] {
                 let r = r as usize;
-                let factor = if self.verify {
-                    lu[r * n + k] / pivot
-                } else {
-                    lu[r * n + k] * inv
-                };
+                let factor = lu[r * n + k] / pivot;
                 if factor == 0.0 {
                     lu[r * n + k] = 0.0;
                     continue;
                 }
-                if self.verify && !factor.is_finite() {
+                if !factor.is_finite() {
                     return Err(Halt::NonFinite);
                 }
                 lu[r * n + k] = factor;
@@ -622,11 +632,7 @@ impl SparseReplayLu {
             for &c in &self.ucols[self.ucol_ptr[k]..self.ucol_ptr[k + 1]] {
                 sum -= lu[k * n + c as usize] * rhs[c as usize];
             }
-            rhs[k] = if self.verify {
-                sum / lu[k * n + k]
-            } else {
-                sum * self.inv_diag[k]
-            };
+            rhs[k] = sum / lu[k * n + k];
         }
     }
 }
@@ -840,15 +846,16 @@ mod tests {
         pat
     }
 
-    /// Factors `m` and solves `rhs` the way a plan drives the engine.
+    /// Factors `m` and solves `rhs` the way a plan drives the engine;
+    /// `true` when either step ran the dense pass.
     fn replay_solve(
         lu: &mut SparseReplayLu,
         m: &DenseMatrix,
         rhs: &mut [f64],
-    ) -> Result<(), Error> {
+    ) -> Result<bool, Error> {
         let fill = |buf: &mut [f64]| buf.copy_from_slice(m.as_slice());
-        lu.factor(fill)?;
-        lu.solve(rhs, fill)
+        let dense = lu.factor(fill)?;
+        Ok(lu.solve(rhs, fill)? || dense)
     }
 
     fn assert_bitwise(want: &[f64], got: &[f64], what: &str) {
@@ -890,7 +897,9 @@ mod tests {
         for (n, seed) in [(1usize, 31u64), (4, 37), (9, 41), (17, 43), (30, 47)] {
             let m = sparse_system(n, seed);
             // Same pivot order, different values: the second factorization
-            // replays the structure the first recorded.
+            // replays the structure the first recorded. The order is the
+            // one partial pivoting picks, so even the frozen replay is
+            // bitwise.
             let mut m2 = m.clone();
             for r in 0..n {
                 m2.add(r, r, 0.25);
@@ -900,19 +909,16 @@ mod tests {
             for verify in [true, false] {
                 let mut lu = SparseReplayLu::new(n, verify);
                 lu.set_pattern(&pattern_of(&m));
+                let mut dense = Vec::new();
                 for (step, mat) in [&m, &m2].into_iter().enumerate() {
                     let mut direct = rhs0.clone();
                     mat.clone().solve_in_place(&mut direct).unwrap();
                     let mut replayed = rhs0.clone();
-                    replay_solve(&mut lu, mat, &mut replayed).unwrap();
+                    dense.push(replay_solve(&mut lu, mat, &mut replayed).unwrap());
                     let what = format!("n={n} seed={seed} verify={verify} step={step}");
-                    if verify {
-                        assert_bitwise(&direct, &replayed, &what);
-                    } else {
-                        assert_close(&direct, &replayed, 1e-12, &what);
-                    }
+                    assert_bitwise(&direct, &replayed, &what);
                 }
-                assert_eq!(lu.dense_passes(), 1, "n={n} verify={verify}");
+                assert_eq!(dense, [true, false], "n={n} verify={verify}");
             }
         }
     }
@@ -942,17 +948,13 @@ mod tests {
             let mut lu = SparseReplayLu::new(4, verify);
             lu.set_pattern(&pattern_of(&m));
             // The first factorization is the dense pass, the second a replay.
+            let mut dense = Vec::new();
             for step in 0..2 {
                 let mut x = rhs0;
-                replay_solve(&mut lu, &m, &mut x).unwrap();
-                let what = format!("verify={verify} step={step}");
-                if verify {
-                    assert_bitwise(&direct, &x, &what);
-                } else {
-                    assert_close(&direct, &x, 1e-12, &what);
-                }
+                dense.push(replay_solve(&mut lu, &m, &mut x).unwrap());
+                assert_bitwise(&direct, &x, &format!("verify={verify} step={step}"));
             }
-            assert_eq!(lu.dense_passes(), 1, "verify={verify}");
+            assert_eq!(dense, [true, false], "verify={verify}");
         }
     }
 
@@ -960,31 +962,32 @@ mod tests {
     fn sparse_replay_refactorization_is_deterministic_and_tracks_values() {
         let n = 12;
         let m = sparse_system(n, 53);
-        let mut lu = SparseReplayLu::new(n, false);
-        lu.set_pattern(&pattern_of(&m));
-        let mut first = vec![1.0; n];
-        replay_solve(&mut lu, &m, &mut first).unwrap();
-
-        // Two replays of the same values: same swaps, same arithmetic.
-        let mut a = vec![1.0; n];
-        replay_solve(&mut lu, &m, &mut a).unwrap();
-        let mut b = vec![1.0; n];
-        replay_solve(&mut lu, &m, &mut b).unwrap();
-        assert_bitwise(&a, &b, "repeat");
-        assert_close(&first, &a, 1e-12, "replay vs dense pass");
-
-        // Perturbed values inside the same pattern: the replay must track
-        // them, agreeing with a fresh dense solve to rounding.
+        // Perturbed values inside the same pattern, under the same pivot
+        // order.
         let mut m2 = m.clone();
         for r in 0..n {
             m2.add(r, r, 0.25);
         }
-        let mut replayed = vec![1.0; n];
-        replay_solve(&mut lu, &m2, &mut replayed).unwrap();
         let mut direct = vec![1.0; n];
-        m2.solve_in_place(&mut direct).unwrap();
-        assert_close(&direct, &replayed, 1e-12, "perturbed");
-        assert_eq!(lu.dense_passes(), 1);
+        m2.clone().solve_in_place(&mut direct).unwrap();
+        for verify in [true, false] {
+            let mut lu = SparseReplayLu::new(n, verify);
+            lu.set_pattern(&pattern_of(&m));
+            let mut first = vec![1.0; n];
+            let mut dense = vec![replay_solve(&mut lu, &m, &mut first).unwrap()];
+
+            // A replay of the same values does the dense pass's arithmetic
+            // on the structural entries: the same bits.
+            let mut again = vec![1.0; n];
+            dense.push(replay_solve(&mut lu, &m, &mut again).unwrap());
+            assert_bitwise(&first, &again, &format!("verify={verify} repeat"));
+
+            // The replay tracks new values.
+            let mut replayed = vec![1.0; n];
+            dense.push(replay_solve(&mut lu, &m2, &mut replayed).unwrap());
+            assert_bitwise(&direct, &replayed, &format!("verify={verify} perturbed"));
+            assert_eq!(dense, [true, false, false], "verify={verify}");
+        }
     }
 
     #[test]
@@ -1004,17 +1007,17 @@ mod tests {
         shifted.set(0, 0, 1e-18);
         shifted.set(0, 1, 3.0);
         shifted.set(1, 0, 2.0);
+        let mut direct = vec![1.0; n];
+        shifted.clone().solve_in_place(&mut direct).unwrap();
         for verify in [true, false] {
             let mut lu = SparseReplayLu::new(n, verify);
             lu.set_pattern(&vec![u64::MAX; n]);
             let mut x = vec![1.0; n];
-            replay_solve(&mut lu, &m, &mut x).unwrap();
+            let mut dense = vec![replay_solve(&mut lu, &m, &mut x).unwrap()];
             let mut replayed = vec![1.0; n];
-            replay_solve(&mut lu, &shifted, &mut replayed).unwrap();
-            let mut direct = vec![1.0; n];
-            shifted.clone().solve_in_place(&mut direct).unwrap();
+            dense.push(replay_solve(&mut lu, &shifted, &mut replayed).unwrap());
             assert_bitwise(&direct, &replayed, &format!("verify={verify}"));
-            assert_eq!(lu.dense_passes(), 2, "verify={verify}");
+            assert_eq!(dense, [true, true], "verify={verify}");
         }
     }
 
@@ -1022,22 +1025,23 @@ mod tests {
     fn sparse_replay_invalidate_structure_forces_rerecord() {
         let n = 8;
         let m = sparse_system(n, 59);
-        let mut lu = SparseReplayLu::new(n, true);
-        lu.set_pattern(&pattern_of(&m));
-        let mut x = vec![1.0; n];
-        replay_solve(&mut lu, &m, &mut x).unwrap();
-
         // A matrix with a *different* sparsity pattern is only legal after
         // the pattern is replaced (the caller's contract when the base
         // plan rebuilds).
         let m2 = sparse_system(n, 61);
-        lu.set_pattern(&pattern_of(&m2));
-        let mut replayed = vec![1.0; n];
-        replay_solve(&mut lu, &m2, &mut replayed).unwrap();
         let mut direct = vec![1.0; n];
         m2.clone().solve_in_place(&mut direct).unwrap();
-        assert_bitwise(&direct, &replayed, "new pattern");
-        assert_eq!(lu.dense_passes(), 2);
+        for verify in [true, false] {
+            let mut lu = SparseReplayLu::new(n, verify);
+            lu.set_pattern(&pattern_of(&m));
+            let mut x = vec![1.0; n];
+            let mut dense = vec![replay_solve(&mut lu, &m, &mut x).unwrap()];
+            lu.set_pattern(&pattern_of(&m2));
+            let mut replayed = vec![1.0; n];
+            dense.push(replay_solve(&mut lu, &m2, &mut replayed).unwrap());
+            assert_bitwise(&direct, &replayed, &format!("verify={verify} new pattern"));
+            assert_eq!(dense, [true, true], "verify={verify}");
+        }
     }
 
     #[test]
@@ -1188,7 +1192,10 @@ mod tests {
                 let mut want = rhs.clone();
                 let want_result = m.clone().solve_in_place(&mut want);
                 let mut got = rhs.clone();
-                let got_result = lu.factor(fill).and_then(|()| lu.solve(&mut got, fill));
+                let got_result = lu
+                    .factor(fill)
+                    .and_then(|_| lu.solve(&mut got, fill))
+                    .map(|_| ());
                 proptest::prop_assert_eq!(&got_result, &want_result, "step {}", step);
                 if want_result.is_ok() {
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1224,17 +1231,16 @@ mod tests {
         };
         let mut lu = SparseReplayLu::new(3, true);
         lu.set_pattern(&pattern_of(&system(1.0)));
-        let mut passes = Vec::new();
+        let mut dense = Vec::new();
         for g in [1e-3, 1e-2, 1e-1, 0.5, 2.0, 4.0, 8.0] {
             let m = system(g);
             let mut want = vec![0.0, 1e-3, 1.5];
             m.clone().solve_in_place(&mut want).unwrap();
             let mut got = vec![0.0, 1e-3, 1.5];
-            replay_solve(&mut lu, &m, &mut got).unwrap();
+            dense.push(replay_solve(&mut lu, &m, &mut got).unwrap());
             assert_bitwise(&want, &got, &format!("g={g}"));
-            passes.push(lu.dense_passes());
         }
         // One cold start, replays, one fallback at the flip, replays.
-        assert_eq!(passes, [1, 1, 1, 1, 2, 2, 2]);
+        assert_eq!(dense, [true, false, false, false, true, false, false]);
     }
 }

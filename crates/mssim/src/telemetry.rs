@@ -66,9 +66,11 @@ pub struct SolverCounters {
     /// LU factorizations performed: sparse replays of a recorded pivot
     /// sequence, or dense partial-pivot passes.
     pub factorizations: u64,
-    /// Dense partial-pivot passes run instead of a replay: the first
-    /// factorization after each pattern rebuild, and each replay whose
-    /// pivots could not be verified (or whose frozen pivot degraded).
+    /// Factorizations whose factors came from the dense partial-pivot
+    /// pass instead of a replay: the first after each pattern rebuild,
+    /// each replay whose pivots could not be verified (or whose frozen
+    /// pivot degraded), and each replayed solve redone densely because it
+    /// came out non-finite.
     pub pivot_fallbacks: u64,
     /// Triangular solves performed.
     pub back_substitutions: u64,

@@ -415,9 +415,14 @@ mod tests {
         assert_eq!(r.queries, c.queries);
         assert_eq!(r.tier_switch_level, 0);
         assert_eq!(r.tier_circuit, 0);
-        assert!(r.tier_analytic > 0);
-        assert!(r.hit_rate > 0.0);
+        // Analytic answers are never memoized: one evaluation per query.
+        assert_eq!(r.tier_analytic, c.queries as u64);
+        assert_eq!(r.hit_rate, 0.0);
         assert!(r.qps > 0.0);
+        // The same stream at the memoized switch-level tier hits on its
+        // repeats.
+        let s = serve_stream("switch", &stream, &c, TierPolicy::switch_level());
+        assert!(s.hit_rate > 0.0);
     }
 
     fn stream(name: &'static str, p99_ns: u64, hit_rate: f64) -> StreamReport {

@@ -16,6 +16,9 @@
 //!   was poisoned by a panicking writer is cleared and served on (counted
 //!   as `infer.lock_poisoned`) — memoized values are recomputable, so a
 //!   crash in one worker never takes the serving process with it.
+//!   Only the simulated tiers are memoized: Eq. 2 costs less than a
+//!   cache lookup, so analytic answers are evaluated directly and never
+//!   reach the cache or its counters.
 //! * [`InferenceEngine`] — tiered dispatch (analytic fast path, escalating
 //!   to switch-level / transistor tiers only when the tolerance demands
 //!   it) over the cache, with per-tier counts in the report.
@@ -31,6 +34,7 @@
 //! [`crate::WtaClassifier`], training, metrics) can serve through it
 //! unchanged.
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
@@ -76,6 +80,17 @@ impl Tier {
             Tier::SwitchLevel => "switch-level",
             Tier::Circuit => "circuit",
         }
+    }
+
+    /// Whether the engine memoizes this tier's answers — the one rule
+    /// that decides what the [`MemoCache`] holds. Eq. 2 answers in
+    /// 20–35 ns, less than a lookup costs: a hit builds and hashes a key
+    /// and takes a shard lock, and on perfbench's serve_uniform stream
+    /// the cache cost 844 ns per query. So analytic answers are always
+    /// evaluated directly. The switch-level and circuit tiers cost
+    /// microseconds to milliseconds per answer and are memoized.
+    fn memoized(self) -> bool {
+        self != Tier::Analytic
     }
 }
 
@@ -137,6 +152,14 @@ impl Query {
             weights: self.weights.clone(),
         }
     }
+
+    /// Whether every duty already lies on the `levels`-point grid, bit
+    /// for bit: [`Query::quantized`] would return the query unchanged.
+    fn on_grid(&self, levels: u32) -> bool {
+        self.duties
+            .iter()
+            .all(|d| d.quantized(levels).value().to_bits() == d.value().to_bits())
+    }
 }
 
 /// One inference response.
@@ -147,7 +170,8 @@ pub struct Eval {
     /// Fidelity tier that produced (or originally produced, for cached
     /// responses) the value.
     pub tier: Tier,
-    /// Whether the value was served from the memo cache.
+    /// Whether the value was served from the memo cache (never for the
+    /// analytic tier, which is not memoized).
     pub cached: bool,
     /// Whether the answer was served below the demanded fidelity — by a
     /// cheaper tier after a demotion, or from a partially-rescued
@@ -481,7 +505,8 @@ pub struct InferReport {
     /// Evaluations performed by each tier, indexed by [`Tier::index`]
     /// (cache hits perform none).
     pub tier_evals: [u64; 3],
-    /// Cache counters (zeroed when no cache is configured).
+    /// Cache counters of the memoized tiers (zeroed when no cache is
+    /// configured; analytic answers never count).
     pub cache: CacheStats,
     /// Demotion-ladder counters.
     pub resil: ResilStats,
@@ -534,7 +559,11 @@ fn non_finite() -> CoreError {
 /// When a [`MemoCache`] is configured, queries are first snapped onto the
 /// cache's duty grid (the PWM input alphabet is discrete, so serving
 /// streams are expected to live on the grid already — quantization is
-/// then the identity) and answered from the cache when possible.
+/// then the identity) and, at the switch-level and circuit tiers,
+/// answered from the cache when possible. The analytic tier is never
+/// memoized: Eq. 2 costs less than a lookup, so an analytic answer is
+/// the closed form on the admitted query, exactly as on an engine
+/// without a cache, and its `cached` flag is always false.
 ///
 /// A transient failure at the resolved tier walks the demotion ladder
 /// instead of erroring — see [`crate::resilience`].
@@ -545,12 +574,19 @@ fn non_finite() -> CoreError {
 /// use pwm_perceptron::prelude::*;
 ///
 /// # fn main() -> Result<(), pwm_perceptron::CoreError> {
-/// let engine = InferenceEngine::paper().with_cache(16, 1 << 16);
+/// let engine = InferenceEngine::paper()
+///     .with_switch_tier(SwitchLevelEvaluator::paper())
+///     .with_policy(TierPolicy::switch_level())
+///     .with_cache(16, 1 << 16);
 /// let q = Query::from_raw(&[0.7, 0.8, 0.9], &[7, 7, 7], 3)?;
 /// let first = engine.evaluate(&q)?;
 /// let second = engine.evaluate(&q)?;
 /// assert!(!first.cached && second.cached);
 /// assert_eq!(first.vout, second.vout);
+///
+/// // The analytic tier answers in closed form and skips the cache.
+/// let analytic = InferenceEngine::paper().with_cache(16, 1 << 16);
+/// assert!(!analytic.evaluate(&q)?.cached && !analytic.evaluate(&q)?.cached);
 /// # Ok(())
 /// # }
 /// ```
@@ -677,12 +713,35 @@ impl InferenceEngine {
     }
 
     /// The query the engine actually evaluates: snapped onto the cache's
-    /// duty grid when a cache is configured, unchanged otherwise.
-    pub fn admitted(&self, query: &Query) -> Query {
+    /// duty grid when a cache is configured, unchanged otherwise. A query
+    /// already on the grid (bit for bit) is borrowed, not copied.
+    pub fn admitted<'q>(&self, query: &'q Query) -> Cow<'q, Query> {
         match &self.cache {
-            Some(cache) => query.quantized(cache.resolution()),
-            None => query.clone(),
+            Some(cache) if !query.on_grid(cache.resolution()) => {
+                Cow::Owned(query.quantized(cache.resolution()))
+            }
+            _ => Cow::Borrowed(query),
         }
+    }
+
+    /// [`InferenceEngine::admitted`] for a whole batch, borrowed when
+    /// every query is already on the grid.
+    fn admitted_batch<'q>(&self, queries: &'q [Query]) -> Cow<'q, [Query]> {
+        match &self.cache {
+            Some(cache) if !queries.iter().all(|q| q.on_grid(cache.resolution())) => Cow::Owned(
+                queries
+                    .iter()
+                    .map(|q| q.quantized(cache.resolution()))
+                    .collect(),
+            ),
+            _ => Cow::Borrowed(queries),
+        }
+    }
+
+    /// The cache that memoizes `tier`'s answers: the configured cache
+    /// for a [`Tier::memoized`] tier, none otherwise.
+    fn cache_for(&self, tier: Tier) -> Option<&MemoCache> {
+        self.cache.as_ref().filter(|_| tier.memoized())
     }
 
     /// One cache-aware evaluation at exactly `tier`. Degraded or
@@ -690,11 +749,11 @@ impl InferenceEngine {
     /// full-fidelity answer for its keyed tier.
     fn evaluate_at(&self, tier: Tier, query: &Query) -> Result<Eval, CoreError> {
         let evaluator = self.tier_evaluator(tier);
-        let Some(cache) = &self.cache else {
+        let admitted = self.admitted(query);
+        let Some(cache) = self.cache_for(tier) else {
             self.tier_evals[tier.index()].fetch_add(1, Ordering::Relaxed);
-            return evaluator.evaluate(query);
+            return evaluator.evaluate(&admitted);
         };
-        let admitted = query.quantized(cache.resolution());
         let key = cache.key(&admitted, tier);
         if let Some(vout) = cache.lookup(&key) {
             return Ok(Eval {
@@ -800,9 +859,9 @@ impl InferenceEngine {
     /// One batched, deduplicated, cache-aware dispatch at exactly `tier`.
     fn dispatch_batch(&self, tier: Tier, queries: &[Query]) -> Vec<Result<Eval, CoreError>> {
         let evaluator = self.tier_evaluator(tier);
-        let Some(cache) = &self.cache else {
+        let Some(cache) = self.cache_for(tier) else {
             self.tier_evals[tier.index()].fetch_add(queries.len() as u64, Ordering::Relaxed);
-            return evaluator.evaluate_batch(queries);
+            return evaluator.evaluate_batch(&self.admitted_batch(queries));
         };
 
         let mut out: Vec<Option<Result<Eval, CoreError>>> = vec![None; queries.len()];
@@ -812,7 +871,7 @@ impl InferenceEngine {
         // Per input query: which miss slot serves it (None = cache hit).
         let mut slot_of: Vec<Option<usize>> = Vec::with_capacity(queries.len());
         for (i, query) in queries.iter().enumerate() {
-            let admitted = query.quantized(cache.resolution());
+            let admitted = self.admitted(query);
             let key = cache.key(&admitted, tier);
             if let Some(vout) = cache.lookup(&key) {
                 out[i] = Some(Ok(Eval {
@@ -825,7 +884,7 @@ impl InferenceEngine {
                 slot_of.push(None);
             } else {
                 let slot = *miss_of.entry(key).or_insert_with(|| {
-                    misses.push(admitted);
+                    misses.push(admitted.into_owned());
                     misses.len() - 1
                 });
                 slot_of.push(Some(slot));
@@ -834,7 +893,13 @@ impl InferenceEngine {
 
         self.tier_evals[tier.index()].fetch_add(misses.len() as u64, Ordering::Relaxed);
         let computed = evaluator.evaluate_batch(&misses);
-        for (key, slot) in miss_of {
+        // Insert in slot order (first occurrence in the batch): when an
+        // insert flushes a full shard, which entries survive must not
+        // depend on the map's per-instance random iteration order.
+        let mut keyed: Vec<(usize, CacheKey)> =
+            miss_of.into_iter().map(|(key, slot)| (slot, key)).collect();
+        keyed.sort_unstable_by_key(|&(slot, _)| slot);
+        for (slot, key) in keyed {
             if let Ok(eval) = &computed[slot] {
                 if eval.vout.value().is_finite() && !eval.degraded {
                     cache.insert(key, eval.vout.value());
@@ -891,7 +956,10 @@ impl InferenceEngine {
             self.demotions.fetch_add(n, Ordering::Relaxed);
             tier = below;
             self.tier_evals[tier.index()].fetch_add(n, Ordering::Relaxed);
-            let admitted: Vec<Query> = failed.iter().map(|&i| self.admitted(&queries[i])).collect();
+            let admitted: Vec<Query> = failed
+                .iter()
+                .map(|&i| self.admitted(&queries[i]).into_owned())
+                .collect();
             let fresh = self.tier_evaluator(tier).evaluate_batch(&admitted);
             for (&i, outcome) in failed.iter().zip(fresh) {
                 out[i] = self.degrade(outcome, demanded, tier, observer);
@@ -1044,7 +1112,7 @@ mod tests {
 
     #[test]
     fn cache_hits_after_first_evaluation() {
-        let engine = InferenceEngine::paper().with_cache(16, 1024);
+        let engine = memoized_engine(16, 1024);
         let q = query(&[0.25, 0.5, 0.75]);
         let a = engine.evaluate(&q).unwrap();
         let b = engine.evaluate(&q).unwrap();
@@ -1053,18 +1121,18 @@ mod tests {
         assert!(!a.degraded && !b.degraded);
         assert_eq!(a.error_bound, 0.0);
         assert_eq!(a.vout, b.vout);
-        assert_eq!(a.tier, Tier::Analytic);
+        assert_eq!(a.tier, Tier::SwitchLevel);
         let report = engine.report();
         assert_eq!(report.queries, 2);
         assert_eq!(report.cache.hits, 1);
         assert_eq!(report.cache.misses, 1);
-        assert_eq!(report.evals(Tier::Analytic), 1);
+        assert_eq!(report.evals(Tier::SwitchLevel), 1);
         assert_eq!(report.resil, ResilStats::default());
     }
 
     #[test]
     fn batch_deduplicates_misses() {
-        let engine = InferenceEngine::paper().with_cache(16, 1024);
+        let engine = memoized_engine(16, 1024);
         let qs = vec![
             query(&[0.25, 0.5, 0.75]),
             query(&[0.25, 0.5, 0.75]),
@@ -1074,13 +1142,37 @@ mod tests {
         assert!(out.iter().all(Result::is_ok));
         let report = engine.report();
         // Two distinct keys computed once each; the duplicate shares.
-        assert_eq!(report.evals(Tier::Analytic), 2);
+        assert_eq!(report.evals(Tier::SwitchLevel), 2);
         assert_eq!(out[0].as_ref().unwrap().vout, out[1].as_ref().unwrap().vout);
     }
 
     #[test]
+    fn batch_inserts_do_not_depend_on_hash_order() {
+        // 16 entries over 16 shards: one entry per shard, so most inserts
+        // flush a shard and the insertion order decides what survives.
+        let qs: Vec<Query> = (0..64)
+            .map(|i| query(&[(i % 16) as f64 / 15.0, (i / 16) as f64 / 15.0, 0.5]))
+            .collect();
+        let runs: Vec<(CacheStats, Vec<bool>)> = (0..6)
+            .map(|_| {
+                let engine = memoized_engine(16, 16);
+                assert!(engine.evaluate_batch(&qs).iter().all(Result::is_ok));
+                let hits: Vec<bool> = qs
+                    .iter()
+                    .map(|q| engine.evaluate(q).unwrap().cached)
+                    .collect();
+                (engine.report().cache, hits)
+            })
+            .collect();
+        assert!(runs[0].0.evictions > 0, "inserts flushed shards");
+        for run in &runs[1..] {
+            assert_eq!(run, &runs[0]);
+        }
+    }
+
+    #[test]
     fn batched_and_single_evaluation_agree_bitwise() {
-        let cached = InferenceEngine::paper().with_cache(32, 1024);
+        let cached = memoized_engine(32, 1024);
         let plain = InferenceEngine::paper();
         let qs: Vec<Query> = (0..20)
             .map(|i| {
@@ -1099,7 +1191,7 @@ mod tests {
     fn eviction_flushes_but_never_serves_stale_values() {
         // Capacity of one entry per shard: every distinct key in the same
         // shard evicts its predecessor.
-        let engine = InferenceEngine::paper().with_cache(64, 1);
+        let engine = memoized_engine(64, 1);
         let analytic = AnalyticEvaluator::paper();
         for i in 0..64 {
             let d = i as f64 / 63.0;
@@ -1114,7 +1206,7 @@ mod tests {
     #[test]
     fn observed_batch_reports_infer_counters() {
         use mssim::telemetry::MemoryRecorder;
-        let engine = InferenceEngine::paper().with_cache(16, 1024);
+        let engine = memoized_engine(16, 1024);
         let qs = vec![query(&[0.5, 0.5, 0.5]), query(&[0.5, 0.5, 0.5])];
         let mut rec = MemoryRecorder::new();
         let out = engine.evaluate_batch_observed(&qs, &mut rec);
@@ -1123,13 +1215,13 @@ mod tests {
         // Both lookups miss (insertion happens after the batch computes),
         // but the duplicate deduplicates down to one evaluation.
         assert_eq!(rec.counter_value("infer.cache_misses"), 2);
-        assert_eq!(rec.counter_value("infer.tier_analytic"), 1);
+        assert_eq!(rec.counter_value("infer.tier_switch_level"), 1);
         assert!(rec.events().iter().any(|e| matches!(
             e,
             Event::InferBatch {
                 queries: 2,
                 cache_misses: 2,
-                analytic: 1,
+                switch_level: 1,
                 ..
             }
         )));
@@ -1154,7 +1246,7 @@ mod tests {
         // Every surface keeps working; the first touch clears the shard.
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().lock_poisoned, 1);
-        let engine = InferenceEngine::paper().with_cache(16, 1024);
+        let engine = memoized_engine(16, 1024);
         let q = query(&[0.25, 0.5, 0.75]);
         engine.evaluate(&q).unwrap();
         let poisoned_one = engine.cache().unwrap().poison_shard(0);
@@ -1163,6 +1255,7 @@ mod tests {
         // Serving continues; the poisoned shards were cleared, so the
         // answer is correct either way (recompute or surviving shard).
         let again = engine.evaluate(&q).unwrap();
+        assert_eq!(engine.report().cache.hits + engine.report().cache.misses, 2);
         let clean = AnalyticEvaluator::paper()
             .evaluate(&q.quantized(16))
             .unwrap();
@@ -1234,6 +1327,13 @@ mod tests {
             .with_switch_tier(flaky)
             .with_policy(TierPolicy::switch_level());
         (engine, remaining, calls)
+    }
+
+    /// A cached engine whose switch tier is the analytic closed form
+    /// posing as `SwitchLevel`: its answers are memoized, and each equals
+    /// `AnalyticEvaluator::paper()` on the admitted query.
+    fn memoized_engine(resolution: u32, capacity: usize) -> InferenceEngine {
+        flaky_engine(0).0.with_cache(resolution, capacity)
     }
 
     #[test]
@@ -1335,7 +1435,7 @@ mod tests {
 
     #[test]
     fn finest_cache_grid_keys_every_level_apart() {
-        let engine = InferenceEngine::paper().with_cache(1 << 16, 1024);
+        let engine = memoized_engine(1 << 16, 1024);
         let analytic = AnalyticEvaluator::paper();
         for level in [65_533u32, 65_534, 65_535] {
             let d = level as f64 / 65_535.0;

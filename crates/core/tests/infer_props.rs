@@ -1,7 +1,11 @@
 //! Property-based tests of the inference engine's memo cache: duty
 //! quantization, hit/miss transparency, deduplication and eviction must
-//! never change what a caller observes.
+//! never change what a caller observes, and analytic answers never reach
+//! the cache at all.
 
+use std::borrow::Cow;
+
+use mssim::units::Volts;
 use proptest::prelude::*;
 use pwm_perceptron::prelude::*;
 
@@ -71,8 +75,33 @@ fn grid_query(levels: u32, raw: GridQuery) -> Query {
     .expect("grid points are in range")
 }
 
+/// The analytic closed form posing as the switch-level tier. The engine
+/// memoizes switch-level answers but never analytic ones, so this is how
+/// the cache properties below get a memoized tier whose every answer is
+/// `AnalyticEvaluator::paper()`'s, bit for bit.
+#[derive(Debug)]
+struct ClosedFormSwitch(AnalyticEvaluator);
+
+impl Evaluator for ClosedFormSwitch {
+    fn vout(&self, duties: &[DutyCycle], weights: &WeightVector) -> Result<Volts, CoreError> {
+        self.0.vout(duties, weights)
+    }
+
+    fn vdd(&self) -> Volts {
+        self.0.vdd()
+    }
+
+    fn tier(&self) -> Tier {
+        Tier::SwitchLevel
+    }
+}
+
+/// A cached engine serving at the memoized switch-level tier.
 fn engine(levels: u32, capacity: usize) -> InferenceEngine {
-    InferenceEngine::new(mssim::units::Volts(2.5)).with_cache(levels, capacity)
+    InferenceEngine::new(Volts(2.5))
+        .with_switch_tier(ClosedFormSwitch(AnalyticEvaluator::paper()))
+        .with_policy(TierPolicy::switch_level())
+        .with_cache(levels, capacity)
 }
 
 proptest! {
@@ -121,9 +150,9 @@ proptest! {
         prop_assert_eq!(query.quantized(16), query);
     }
 
-    /// A cached engine answers exactly like the bare analytic evaluator
-    /// for on-grid streams — the cache is observationally transparent,
-    /// hits and misses alike.
+    /// A cached engine answers exactly like the bare evaluator for
+    /// on-grid streams — the cache is observationally transparent, hits
+    /// and misses alike.
     #[test]
     fn cache_on_and_cache_off_agree_on_grid_streams(
         raws in prop::collection::vec(grid_raw(16), 1..40),
@@ -222,5 +251,43 @@ proptest! {
         // Bookkeeping stays coherent under churn.
         let stats = cached.report().cache;
         prop_assert!(stats.insertions >= stats.evictions);
+    }
+
+    /// Analytic answers skip the memo cache: single and batched, on and
+    /// off the grid, they are never `cached`, leave `CacheStats` at zero,
+    /// and equal the bare evaluator on the admitted query bit for bit.
+    /// An on-grid query is admitted as itself, without a copy.
+    #[test]
+    fn analytic_answers_bypass_the_cache(
+        grid in prop::collection::vec(grid_raw(16), 0..20),
+        free in prop::collection::vec(free_raw(), 0..20),
+    ) {
+        // The policy resolves to the analytic tier.
+        let engine = InferenceEngine::new(Volts(2.5)).with_cache(16, 4);
+        let on_grid: Vec<Query> = grid.into_iter().map(|r| grid_query(16, r)).collect();
+        for q in &on_grid {
+            prop_assert!(matches!(engine.admitted(q), Cow::Borrowed(_)));
+        }
+        let stream: Vec<Query> = on_grid
+            .into_iter()
+            .chain(free.into_iter().map(free_query))
+            .collect();
+        let bare = AnalyticEvaluator::paper();
+        for pass in 0..2 {
+            let batched = engine.evaluate_batch(&stream);
+            for (q, b) in stream.iter().zip(batched) {
+                prop_assert_eq!(engine.admitted(q).into_owned(), q.quantized(16));
+                let want = bare.evaluate(&q.quantized(16)).unwrap().vout.value().to_bits();
+                for eval in [engine.evaluate(q).unwrap(), b.unwrap()] {
+                    prop_assert!(!eval.cached, "pass {}", pass);
+                    prop_assert_eq!(eval.tier, Tier::Analytic);
+                    prop_assert_eq!(eval.vout.value().to_bits(), want);
+                }
+            }
+        }
+        let report = engine.report();
+        prop_assert_eq!(report.cache, CacheStats::default());
+        prop_assert_eq!(report.evals(Tier::Analytic), 4 * stream.len() as u64);
+        prop_assert!(engine.cache().unwrap().is_empty());
     }
 }

@@ -166,8 +166,24 @@ impl DenseMatrix {
 
 /// The singular-pivot threshold shared by every elimination here: `1e-14`
 /// times the largest magnitude among `entries` (at least `1e-30`).
-fn pivot_tolerance(entries: impl Iterator<Item = f64>) -> f64 {
-    entries.fold(0.0f64, |m, v| m.max(v.abs())).max(1e-30) * 1e-14
+///
+/// The maximum is folded in four independent lanes, so each `max` need
+/// not wait for the previous one (the verified replay gathers its
+/// entries, which a serial fold cannot vectorize). The result is bitwise
+/// the serial fold's: `f64::max` ignores a NaN operand and no `|v|` is
+/// `−0`, so the maximum does not depend on the order.
+fn pivot_tolerance(mut entries: impl Iterator<Item = f64>) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    'fold: loop {
+        for lane in &mut lanes {
+            let Some(v) = entries.next() else {
+                break 'fold;
+            };
+            *lane = lane.max(v.abs());
+        }
+    }
+    let [a, b, c, d] = lanes;
+    a.max(b).max(c.max(d)).max(1e-30) * 1e-14
 }
 
 /// A reusable LU factorization (partial pivoting) of a [`DenseMatrix`].
@@ -640,6 +656,46 @@ impl SparseReplayLu {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pivot_tolerance_equals_a_serial_fold_bitwise() {
+        let serial = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs())).max(1e-30) * 1e-14;
+        let palette = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 8.0,
+            1e-20,
+            -2.5,
+            1.5,
+            -f64::NAN,
+        ];
+        let mut slices: Vec<Vec<f64>> = Vec::new();
+        for len in 0..=9 {
+            for start in 0..palette.len() {
+                for stride in 1..palette.len() {
+                    slices.push(
+                        (0..len)
+                            .map(|i| palette[(start + i * stride) % palette.len()])
+                            .collect(),
+                    );
+                }
+            }
+            for fill in [f64::NAN, -0.0, f64::MIN_POSITIVE / 4.0, f64::NEG_INFINITY] {
+                slices.push(vec![fill; len]);
+            }
+        }
+        for v in &slices {
+            assert_eq!(
+                pivot_tolerance(v.iter().copied()).to_bits(),
+                serial(v).to_bits(),
+                "{v:?}"
+            );
+        }
+    }
 
     #[test]
     fn solves_identity() {

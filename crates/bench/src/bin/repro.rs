@@ -42,7 +42,6 @@ const EXPERIMENTS: &[&str] = &[
     "trace",
     "faults",
     "serve",
-    "chaos",
 ];
 
 fn main() {
@@ -51,16 +50,10 @@ fn main() {
     let no_collapse = args.iter().any(|a| a == "--no-collapse");
     let no_triage = args.iter().any(|a| a == "--no-triage");
     let triage_only = args.iter().any(|a| a == "--triage-only");
-    let queries = args
-        .iter()
-        .position(|a| a == "--queries")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse::<usize>().unwrap_or_else(|_| {
-                eprintln!("--queries expects a positive integer, got '{v}'");
-                std::process::exit(2);
-            })
-        });
+    let queries = parse_queries(&args).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
     let mut skip_next = false;
     let mut selected: Vec<&str> = args
         .iter()
@@ -140,10 +133,24 @@ fn main() {
             "trace" => trace(&tech),
             "faults" => faults(&tech, fast, no_collapse, no_triage, triage_only),
             "serve" => serve(queries, fast),
-            "chaos" => chaos(queries, fast),
             _ => unreachable!(),
         }
         eprintln!("  [{name} took {:.1}s]", t0.elapsed().as_secs_f64());
+    }
+}
+
+/// The value of `--queries`, when given. Zero, a missing value and a
+/// non-number are errors, reported with the message to print.
+fn parse_queries(args: &[String]) -> Result<Option<usize>, String> {
+    let Some(i) = args.iter().position(|a| a == "--queries") else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).map_or("", String::as_str);
+    match value.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!(
+            "--queries expects a positive integer, got '{value}'"
+        )),
     }
 }
 
@@ -1468,111 +1475,6 @@ fn serve(queries: Option<usize>, fast: bool) {
     println!("serve: all acceptance gates passed");
 }
 
-/// Deterministic fault-injection harness for the inference engine's
-/// demotion ladder: serves a baseline (1 % faults) and a storm (60 %
-/// faults) stream through a chaos-wrapped switch tier, cross-checks every
-/// answer against a chaos-free reference, writes
-/// `results/CHAOS_mssim.json` and fails on any acceptance-gate violation
-/// (availability < 99.9 %, panics, out-of-bound degraded answers,
-/// classification divergences, degraded answers that do not match the
-/// injected faults one for one).
-fn chaos(queries: Option<usize>, fast: bool) {
-    use bench::chaos as ch;
-
-    let mut config = ch::ChaosHarnessConfig::default();
-    if fast {
-        config.queries = 500;
-    }
-    if let Some(q) = queries {
-        config.queries = q;
-    }
-    println!("\n== Chaos — fault injection against the demotion ladder ==");
-    println!(
-        "{} queries/stream, duty grid {} levels, seed {:#x}",
-        config.queries, config.resolution, config.seed
-    );
-
-    // The harness deliberately poisons cache shards by panicking inside
-    // a catch_unwind while holding the shard lock. Silence exactly those
-    // panics so the run's output stays readable; everything else still
-    // reports through the previous hook.
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| s.contains("chaos-poison"))
-            .or_else(|| {
-                info.payload()
-                    .downcast_ref::<String>()
-                    .map(|s| s.contains("chaos-poison"))
-            })
-            .unwrap_or(false);
-        if !injected {
-            previous(info);
-        }
-    }));
-    let report = ch::run(&config);
-    let _ = std::panic::take_hook(); // restore default reporting
-
-    let row = |s: &bench::chaos::ChaosStreamReport| {
-        vec![
-            s.stream.to_string(),
-            f(s.mix.fail * 100.0, 1),
-            format!("{:.2}", s.availability * 100.0),
-            format!("{:.2}", s.batch_availability * 100.0),
-            f(s.degraded_rate * 100.0, 1),
-            format!("{}", s.degraded),
-            format!("{}", s.injected_fail + s.injected_nan),
-            f(s.max_degraded_error_v * 1e3, 1),
-            format!("{}/{}", s.lock_poisoned, s.poison_injected),
-        ]
-    };
-    let table = vec![row(&report.baseline), row(&report.storm)];
-    let header = [
-        "stream",
-        "fault %",
-        "avail %",
-        "batch %",
-        "degr %",
-        "degraded",
-        "injected",
-        "max err mV",
-        "poison r/i",
-    ];
-    println!(
-        "{}",
-        render_table(
-            "Chaos — availability under injected faults",
-            &header,
-            &table
-        )
-    );
-    println!(
-        "injected per stream (fail/nan): baseline {}/{}, storm {}/{}",
-        report.baseline.injected_fail,
-        report.baseline.injected_nan,
-        report.storm.injected_fail,
-        report.storm.injected_nan,
-    );
-
-    let path = results_dir().join("CHAOS_mssim.json");
-    let json = ch::to_json(&report, &config);
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {} ({} bytes)", path.display(), json.len()),
-        Err(e) => eprintln!("  warning: could not write {}: {e}", path.display()),
-    }
-
-    let violations = report.violations();
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("chaos: {v} — failing");
-        }
-        std::process::exit(1);
-    }
-    println!("chaos: all acceptance gates passed");
-}
-
 fn scaling(tech: &Technology) {
     let shapes = [
         (3usize, 3u32),
@@ -1602,4 +1504,31 @@ fn scaling(tech: &Technology) {
         render_table("A9 — architecture scaling", &header, &table)
     );
     write_csv(&results_dir().join("scaling.csv"), &header, &table);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_queries;
+
+    fn parse(args: &[&str]) -> Result<Option<usize>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_queries(&args)
+    }
+
+    #[test]
+    fn queries_must_be_a_positive_integer() {
+        assert_eq!(parse(&["serve", "--queries", "500"]), Ok(Some(500)));
+        assert_eq!(parse(&["serve"]), Ok(None));
+        for (args, got) in [
+            (&["serve", "--queries", "0"][..], "0"),
+            (&["serve", "--queries"][..], ""),
+            (&["serve", "--queries", "many"][..], "many"),
+        ] {
+            assert_eq!(
+                parse(args),
+                Err(format!("--queries expects a positive integer, got '{got}'")),
+                "{args:?}"
+            );
+        }
+    }
 }

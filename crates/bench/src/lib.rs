@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 
 pub mod campaign;
-pub mod chaos;
 pub mod experiments;
 pub mod output;
 pub mod serve;

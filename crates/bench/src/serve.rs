@@ -151,8 +151,8 @@ pub fn serve_tech() -> Technology {
 
 /// The `p`-quantile (0..=1) of raw latency samples, nanoseconds.
 /// An empty sample set has no order statistics; it reports 0 rather
-/// than panicking so degenerate streams (e.g. a chaos run whose every
-/// query was shed) still render a report.
+/// than panicking, so a degenerate stream (`ServeConfig { queries: 0,
+/// .. }`) still renders a report.
 pub fn percentile_ns(samples: &mut [u64], p: f64) -> u64 {
     assert!((0.0..=1.0).contains(&p), "quantile must be in 0..=1");
     if samples.is_empty() {

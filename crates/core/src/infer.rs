@@ -22,12 +22,14 @@
 //! * [`InferenceEngine`] — tiered dispatch (analytic fast path, escalating
 //!   to switch-level / transistor tiers only when the tolerance demands
 //!   it) over the cache, with per-tier counts in the report.
-//! * The demotion ladder (see [`crate::resilience`]) — a query whose tier
-//!   fails transiently is answered by the next-cheaper tier (Circuit →
-//!   SwitchLevel → Analytic), flagged [`Eval::degraded`] with that tier's
-//!   certified error bound instead of returning an error — the
-//!   serving-layer analogue of the paper's graceful degradation under
-//!   supply droop.
+//! * The demotion ladder — a query whose tier fails transiently is
+//!   answered by the next-cheaper tier (Circuit → SwitchLevel →
+//!   Analytic), flagged [`Eval::degraded`] with that tier's certified
+//!   error bound instead of returning an error — the serving-layer
+//!   analogue of the paper's graceful degradation under supply droop.
+//!   Each tier gets one attempt: the shipped tiers are deterministic
+//!   functions of the query, so the ladder neither retries nor waits.
+//!   [`ResilStats`] counts its demotions and degraded answers.
 //!
 //! The engine itself implements [`Evaluator`], so every consumer that is
 //! generic over the trait ([`crate::PwmPerceptron`], [`crate::HardLayer`],
@@ -49,7 +51,6 @@ use mssim::telemetry::{dispatch, Event, Observer};
 use crate::duty::DutyCycle;
 use crate::error::CoreError;
 use crate::eval::{AnalyticEvaluator, Evaluator};
-use crate::resilience::ResilStats;
 use crate::weight::WeightVector;
 
 /// Fidelity tier of an evaluation.
@@ -182,24 +183,22 @@ pub struct Eval {
     pub error_bound: f64,
 }
 
-/// How much output-voltage error the caller tolerates, and the certified
-/// error bounds of the cheap tiers — together they decide which [`Tier`]
-/// must answer.
+/// How much output-voltage error the caller tolerates. Against the
+/// certified error bounds of the cheap tiers ([`ANALYTIC_ERROR_BOUND`],
+/// [`SWITCH_ERROR_BOUND`]) it decides which [`Tier`] must answer.
 ///
-/// The defaults come from the `repro xval` cross-validation experiment:
+/// The bounds come from the `repro xval` cross-validation experiment:
 /// the analytic tier tracks the transistor-level reference within a few
 /// tens of millivolts and the switch-level tier within ~20 mV on the
 /// paper's Table II rows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierPolicy {
     tolerance: f64,
-    analytic_error: f64,
-    switch_error: f64,
 }
 
-/// Default certified |analytic − circuit| bound in volts (`repro xval`).
+/// Certified |analytic − circuit| bound in volts (`repro xval`).
 pub const ANALYTIC_ERROR_BOUND: f64 = 0.05;
-/// Default certified |switch-level − circuit| bound in volts.
+/// Certified |switch-level − circuit| bound in volts.
 pub const SWITCH_ERROR_BOUND: f64 = 0.02;
 
 impl TierPolicy {
@@ -217,8 +216,6 @@ impl TierPolicy {
         );
         TierPolicy {
             tolerance: tolerance_volts,
-            analytic_error: ANALYTIC_ERROR_BOUND,
-            switch_error: SWITCH_ERROR_BOUND,
         }
     }
 
@@ -237,21 +234,6 @@ impl TierPolicy {
         Self::tolerance(0.0)
     }
 
-    /// Overrides the certified per-tier error bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= switch_error <= analytic_error`.
-    pub fn with_error_bounds(mut self, analytic_error: f64, switch_error: f64) -> Self {
-        assert!(
-            (0.0..=analytic_error).contains(&switch_error),
-            "bounds must satisfy 0 <= switch <= analytic"
-        );
-        self.analytic_error = analytic_error;
-        self.switch_error = switch_error;
-        self
-    }
-
     /// The caller's tolerance in volts.
     pub fn tolerance_volts(&self) -> f64 {
         self.tolerance
@@ -261,17 +243,17 @@ impl TierPolicy {
     /// degraded answer served by `tier` is annotated with.
     pub fn tier_bound(&self, tier: Tier) -> f64 {
         match tier {
-            Tier::Analytic => self.analytic_error,
-            Tier::SwitchLevel => self.switch_error,
+            Tier::Analytic => ANALYTIC_ERROR_BOUND,
+            Tier::SwitchLevel => SWITCH_ERROR_BOUND,
             Tier::Circuit => 0.0,
         }
     }
 
     /// The cheapest tier whose certified error bound fits the tolerance.
     pub fn demanded_tier(&self) -> Tier {
-        if self.tolerance >= self.analytic_error {
+        if self.tolerance >= ANALYTIC_ERROR_BOUND {
             Tier::Analytic
-        } else if self.tolerance >= self.switch_error {
+        } else if self.tolerance >= SWITCH_ERROR_BOUND {
             Tier::SwitchLevel
         } else {
             Tier::Circuit
@@ -326,11 +308,14 @@ impl CacheStats {
 
 /// Sharded memo cache keyed on quantized duty/weight vectors.
 ///
-/// Lock granularity is one `RwLock` per shard, so concurrent batch
-/// workers mostly touch disjoint shards. Capacity is enforced per shard
-/// with epoch eviction: a shard that reaches its capacity is flushed
-/// whole (deterministic, and never serves a stale value — keys carry the
-/// full weight vector, so mutated weights miss instead of colliding).
+/// Lock granularity is one `RwLock` per shard, so concurrent callers of
+/// [`InferenceEngine::evaluate`] mostly take different locks; a batch
+/// does its lookups and inserts on the calling thread, and the sweep
+/// workers never touch the cache. Capacity is enforced per shard with
+/// epoch eviction: a shard that reaches its capacity is flushed whole,
+/// so a flush discards one shard, not the whole cache. Eviction is
+/// deterministic and never serves a stale value — keys carry the full
+/// weight vector, so mutated weights miss instead of colliding.
 ///
 /// A poisoned shard lock (a panic while a writer held it) is recovered,
 /// not propagated: the shard is cleared — its entries are memoized
@@ -378,11 +363,6 @@ impl MemoCache {
     /// The duty grid resolution (levels).
     pub fn resolution(&self) -> u32 {
         self.resolution
-    }
-
-    /// Number of shards every cache uses (fixed).
-    pub fn shard_count() -> usize {
-        SHARDS
     }
 
     /// Write access to a shard, recovering a poisoned lock by clearing
@@ -434,21 +414,15 @@ impl MemoCache {
         }
     }
 
-    /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
-        for i in 0..self.shards.len() {
-            self.write_shard(i).clear();
-        }
-    }
-
-    /// Chaos hook: poisons one shard's lock by panicking while holding
-    /// its write guard (the panic is caught here). Returns whether the
-    /// shard is poisoned afterwards. The next access recovers it.
+    /// Test fault-injection hook: poisons the lock of shard `shard`
+    /// (modulo the shard count) by panicking while holding its write
+    /// guard (the panic is caught here). Returns whether the shard is
+    /// poisoned afterwards. The next access recovers it.
     pub fn poison_shard(&self, shard: usize) -> bool {
         let lock = &self.shards[shard % self.shards.len()];
         let _ = catch_unwind(AssertUnwindSafe(|| {
             let _guard = lock.write().unwrap_or_else(PoisonError::into_inner);
-            panic!("chaos-poison: injected cache-shard poisoning");
+            panic!("injected cache-shard poisoning");
         }));
         lock.is_poisoned()
     }
@@ -494,6 +468,15 @@ impl MemoCache {
             self.insertions.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
+
+/// Counter snapshot of the demotion ladder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ResilStats {
+    /// Ladder demotions (one per tier walked past).
+    pub demotions: u64,
+    /// Queries answered by a cheaper tier than demanded.
+    pub degraded_served: u64,
 }
 
 /// Per-tier evaluation counts plus cache statistics — the engine's
@@ -549,8 +532,7 @@ fn non_finite() -> CoreError {
 /// Tiered, memoized, batched dispatch over the evaluator stack.
 ///
 /// The analytic tier is always present; switch-level and circuit tiers
-/// are optional escalation targets (any [`Evaluator`] — the production
-/// tiers, or wrappers like [`crate::resilience::ChaosEvaluator`]).
+/// are optional escalation targets (any [`Evaluator`]).
 /// Dispatch picks the cheapest tier the [`TierPolicy`] allows, degraded
 /// to the best *configured* tier: a policy demanding the transistor-level
 /// reference on an engine without a circuit tier is answered by the
@@ -566,7 +548,7 @@ fn non_finite() -> CoreError {
 /// without a cache, and its `cached` flag is always false.
 ///
 /// A transient failure at the resolved tier walks the demotion ladder
-/// instead of erroring — see [`crate::resilience`].
+/// instead of erroring — see [`InferenceEngine::evaluate`].
 ///
 /// # Examples
 ///
@@ -1020,13 +1002,6 @@ impl InferenceEngine {
             resil: self.resilience_stats(),
         }
     }
-
-    /// Drops every cached entry (a weight-space retraining boundary).
-    pub fn clear_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.clear();
-        }
-    }
 }
 
 impl Evaluator for InferenceEngine {
@@ -1097,9 +1072,6 @@ mod tests {
         assert_eq!(p.tier_bound(Tier::Analytic), ANALYTIC_ERROR_BOUND);
         assert_eq!(p.tier_bound(Tier::SwitchLevel), SWITCH_ERROR_BOUND);
         assert_eq!(p.tier_bound(Tier::Circuit), 0.0);
-        let p = p.with_error_bounds(0.2, 0.1);
-        assert_eq!(p.tier_bound(Tier::Analytic), 0.2);
-        assert_eq!(p.tier_bound(Tier::SwitchLevel), 0.1);
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //!   transient on [`mssim`], the reference) — all behind one
 //!   [`eval::Evaluator`] trait with batched entry points.
 //! * [`infer`] — the batched inference engine: tiered dispatch over the
-//!   evaluators, a duty-quantized memo cache, and serving telemetry.
-//! * [`resilience`] — the tier-demotion ladder's counters and a
-//!   deterministic chaos evaluator for fault-injection testing of the
-//!   serving stack.
+//!   evaluators, a duty-quantized memo cache, the tier-demotion ladder
+//!   that answers a failed query from a cheaper tier, and serving
+//!   telemetry.
 //! * [`PwmPerceptron`] / [`DifferentialPerceptron`] — classification with
 //!   a comparator against an absolute or ratiometric reference.
 //! * [`train`] — hardware-in-the-loop integer perceptron learning
@@ -68,7 +67,6 @@ pub mod layer;
 pub mod metrics;
 pub mod multiclass;
 pub mod perceptron;
-pub mod resilience;
 pub mod robustness;
 pub mod train;
 pub mod weight;
@@ -82,11 +80,10 @@ pub use faults::{
     switch_adder_campaign, switch_adder_campaign_observed, switch_adder_triage, CampaignConfig,
     CampaignReport, FaultClass, FaultOutcome, TriageReport, TriageRow, TriageStats,
 };
-pub use infer::{Eval, InferenceEngine, Query, Tier, TierPolicy};
+pub use infer::{Eval, InferenceEngine, Query, ResilStats, Tier, TierPolicy};
 pub use layer::{HardLayer, Mlp};
 pub use multiclass::WtaClassifier;
 pub use perceptron::{DifferentialPerceptron, PwmPerceptron, Reference};
-pub use resilience::{ChaosConfig, ChaosEvaluator, ResilStats};
 pub use weight::{SignedWeightVector, WeightVector};
 
 /// Curated re-exports — the stable serving surface in one `use`.
@@ -102,13 +99,11 @@ pub mod prelude {
         AnalyticEvaluator, CircuitEvaluator, Evaluator, NoisyEvaluator, SwitchLevelEvaluator,
     };
     pub use crate::infer::{
-        CacheStats, Eval, InferReport, InferenceEngine, MemoCache, Query, Tier, TierPolicy,
+        CacheStats, Eval, InferReport, InferenceEngine, MemoCache, Query, ResilStats, Tier,
+        TierPolicy,
     };
     pub use crate::layer::{HardLayer, Mlp};
     pub use crate::multiclass::WtaClassifier;
     pub use crate::perceptron::{DifferentialPerceptron, PwmPerceptron, Reference};
-    pub use crate::resilience::{
-        chaos_fault_at, ChaosConfig, ChaosEvaluator, ChaosFault, ResilStats,
-    };
     pub use crate::weight::{SignedWeightVector, WeightVector};
 }

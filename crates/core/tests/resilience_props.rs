@@ -3,8 +3,9 @@
 //! of queries, every answer is `Ok` and finite, each one comes bit for
 //! bit from the tier the ladder says served it, a degraded answer lies
 //! within its certified bound of the clean answer, degraded answers are
-//! never memoized, poisoned cache shards are recovered and counted, and
-//! the batched path agrees with the single-query path slot for slot.
+//! never memoized, poisoned cache shards are recovered and counted
+//! without changing an answer, and the batched path agrees with the
+//! single-query path slot for slot.
 
 use mssim::prelude::Volts;
 use proptest::prelude::*;
@@ -109,12 +110,22 @@ impl<E: Evaluator> Evaluator for FaultyTier<E> {
     }
 }
 
-/// The query of duty levels `(a, b, c)` on the 16-level grid, so the
-/// engine's cache quantization is the identity.
-fn grid_query((a, b, c): (u32, u32, u32)) -> Query {
+/// The weight vectors a query may carry: the three Table II rows the
+/// serving streams draw from, and one more.
+const WEIGHTS: [[u32; 3]; 4] = [[7, 7, 7], [1, 2, 4], [7, 3, 4], [7, 5, 3]];
+
+/// Duty levels `(a, b, c)` on the 16-level grid, so the engine's cache
+/// quantization is the identity, and an index into [`WEIGHTS`].
+type Point = ((u32, u32, u32), usize);
+
+fn point() -> impl Strategy<Value = Point> {
+    ((0u32..16, 0u32..16, 0u32..16), 0usize..WEIGHTS.len())
+}
+
+fn grid_query(((a, b, c), w): Point) -> Query {
     Query::from_raw(
         &[a as f64 / 15.0, b as f64 / 15.0, c as f64 / 15.0],
-        &[7, 5, 3],
+        &WEIGHTS[w],
         3,
     )
     .unwrap()
@@ -122,12 +133,12 @@ fn grid_query((a, b, c): (u32, u32, u32)) -> Query {
 
 /// A pool of grid queries with a fault code each, and a stream of picks
 /// into the pool (so queries repeat and the cache is exercised).
-type Pool = Vec<((u32, u32, u32), u8)>;
+type Pool = Vec<(Point, u8)>;
 
 fn faults_of(pool: &Pool, code_of: impl Fn(u8) -> u8) -> Vec<(Query, Fault)> {
     pool.iter()
-        .filter_map(|&(duties, code)| {
-            Fault::from_code(code_of(code)).map(|fault| (grid_query(duties), fault))
+        .filter_map(|&(point, code)| {
+            Fault::from_code(code_of(code)).map(|fault| (grid_query(point), fault))
         })
         .collect()
 }
@@ -154,11 +165,12 @@ proptest! {
     /// Switch-level tier over the analytic fallback: the two-rung ladder.
     /// Its clean tier is the real switch-level model, so a degraded
     /// answer is checked against it within the analytic tier's bound.
-    /// One cache shard is poisoned before every `poison_every`-th query
-    /// (never for 0), and serving goes on as if nothing happened.
+    /// The stream is then served again on a second engine with one cache
+    /// shard poisoned before every `poison_every`-th query (never for 0),
+    /// and serving goes on as if nothing happened.
     #[test]
     fn ladder_serves_every_query_from_the_right_tier(
-        pool in prop::collection::vec(((0u32..16, 0u32..16, 0u32..16), 0u8..3), 1..8),
+        pool in prop::collection::vec((point(), 0u8..3), 1..8),
         picks in prop::collection::vec(0usize..64, 1..64),
         poison_every in 0usize..12,
     ) {
@@ -178,21 +190,9 @@ proptest! {
         let analytic = AnalyticEvaluator::paper();
 
         let single = engine();
-        let cache = single.cache().unwrap();
-        let mut poisoned = 0u64;
         let mut seen: Vec<&Query> = Vec::new();
-        // Queries served since the last poisoning, so still memoized. A
-        // recovered shard is cleared, and which queries it held is not
-        // visible from outside the cache, so a query served only before
-        // a poisoning may hit or miss.
-        let mut kept: Vec<&Query> = Vec::new();
         let mut answers = Vec::with_capacity(stream.len());
-        for (i, q) in stream.iter().enumerate() {
-            if poison_every > 0 && i % poison_every == 0 {
-                prop_assert!(cache.poison_shard(i), "shard lock must end up poisoned");
-                poisoned += 1;
-                kept.clear();
-            }
+        for q in &stream {
             let eval = single.evaluate(q).unwrap();
             prop_assert!(eval.vout.value().is_finite());
             let clean_vout = clean.evaluate(q).unwrap().vout.value();
@@ -216,30 +216,57 @@ proptest! {
                 prop_assert!(!eval.degraded);
                 prop_assert_eq!(eval.tier, Tier::SwitchLevel);
                 prop_assert_eq!(eval.error_bound, 0.0);
-                prop_assert!(eval.cached || !kept.contains(&q), "clean repeats hit the cache");
-                prop_assert!(!eval.cached || seen.contains(&q), "only a repeat hits the cache");
+                prop_assert_eq!(eval.cached, seen.contains(&q), "clean repeats hit the cache");
                 prop_assert_eq!(eval.vout.value().to_bits(), clean_vout.to_bits());
             }
             seen.push(q);
-            kept.push(q);
             answers.push(eval);
         }
         let faulty = stream.iter().filter(|q| tier.fault_on(q).is_some()).count() as u64;
         prop_assert_eq!(single.resilience_stats().degraded_served, faulty);
+
+        // Poisoning changes no answer. A recovered shard is cleared, and
+        // which queries it held is private to the cache, so a clean
+        // repeat is sure to hit only if it was served since the last
+        // poisoning.
+        let poisoned = engine();
+        let cache = poisoned.cache().unwrap();
+        let mut poisonings = 0u64;
+        let mut kept: Vec<&Query> = Vec::new();
+        for (i, (q, s)) in stream.iter().zip(&answers).enumerate() {
+            if poison_every > 0 && i % poison_every == 0 {
+                prop_assert!(cache.poison_shard(i), "shard lock must end up poisoned");
+                poisonings += 1;
+                kept.clear();
+            }
+            let eval = poisoned.evaluate(q).unwrap();
+            prop_assert!(same_answer(&eval, s), "poisoned {:?} vs clean {:?}", eval, s);
+            prop_assert!(!eval.cached || s.cached, "only a clean repeat hits the cache");
+            prop_assert!(
+                eval.cached || s.degraded || !kept.contains(&q),
+                "a clean repeat since the last poisoning hits the cache"
+            );
+            kept.push(q);
+        }
+        prop_assert_eq!(poisoned.resilience_stats().degraded_served, faulty);
         // Touching every shard recovers any poisoning still pending. A
         // shard poisoned twice before it is touched recovers once.
         let _ = cache.len();
-        let recovered = single.report().cache.lock_poisoned;
+        let recovered = poisoned.report().cache.lock_poisoned;
         prop_assert!(
-            recovered >= u64::from(poisoned > 0) && recovered <= poisoned,
+            recovered >= u64::from(poisonings > 0) && recovered <= poisonings,
             "{} recoveries for {} poisonings",
             recovered,
-            poisoned
+            poisonings
         );
 
-        // A cold and a warm engine batch the stream exactly as the
+        // A cold and two warm engines batch the stream exactly as the
         // single-query path served it.
-        for batched in [engine().evaluate_batch(&stream), single.evaluate_batch(&stream)] {
+        for batched in [
+            engine().evaluate_batch(&stream),
+            single.evaluate_batch(&stream),
+            poisoned.evaluate_batch(&stream),
+        ] {
             prop_assert_eq!(batched.len(), answers.len());
             for (b, s) in batched.iter().zip(&answers) {
                 let b = b.as_ref().unwrap();
@@ -254,7 +281,7 @@ proptest! {
     /// both fail by the analytic tier, in single and batched serving.
     #[test]
     fn three_rung_ladder_stops_at_the_first_tier_that_answers(
-        pool in prop::collection::vec(((0u32..16, 0u32..16, 0u32..16), 0u8..9), 1..8),
+        pool in prop::collection::vec((point(), 0u8..9), 1..8),
         picks in prop::collection::vec(0usize..64, 1..24),
     ) {
         // Pose the analytic closed form as the circuit tier: the ladder

@@ -50,10 +50,12 @@ fn main() {
     let no_collapse = args.iter().any(|a| a == "--no-collapse");
     let no_triage = args.iter().any(|a| a == "--no-triage");
     let triage_only = args.iter().any(|a| a == "--triage-only");
-    let queries = parse_queries(&args).unwrap_or_else(|message| {
-        eprintln!("{message}");
-        std::process::exit(2);
-    });
+    let queries = check_flags(&args)
+        .and_then(|()| parse_queries(&args))
+        .unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2);
+        });
     let mut skip_next = false;
     let mut selected: Vec<&str> = args
         .iter()
@@ -136,6 +138,27 @@ fn main() {
             _ => unreachable!(),
         }
         eprintln!("  [{name} took {:.1}s]", t0.elapsed().as_secs_f64());
+    }
+}
+
+/// Every flag `repro` takes; `--queries` takes a value.
+const FLAGS: &[&str] = &[
+    "--fast",
+    "--no-collapse",
+    "--no-triage",
+    "--triage-only",
+    "--queries",
+];
+
+/// Rejects any `--` argument that is not in [`FLAGS`], with the message to
+/// print.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        Some(flag) => Err(format!("unknown flag '{flag}'. known: {FLAGS:?}")),
+        None => Ok(()),
     }
 }
 
@@ -1508,11 +1531,39 @@ fn scaling(tech: &Technology) {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_queries;
+    use super::{check_flags, parse_queries};
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
 
     fn parse(args: &[&str]) -> Result<Option<usize>, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_queries(&args)
+        parse_queries(&strings(args))
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for args in [
+            &["lint"][..],
+            &["--fast", "faults", "--no-triage"][..],
+            &["faults", "--no-collapse", "--triage-only"][..],
+            &["serve", "--queries", "500"][..],
+        ] {
+            assert_eq!(check_flags(&strings(args)), Ok(()), "{args:?}");
+        }
+        for (args, flag) in [
+            (&["--fsat", "lint"][..], "--fsat"),
+            (
+                &["--fast", "all", "--queries", "5", "--verbose"][..],
+                "--verbose",
+            ),
+        ] {
+            let message = check_flags(&strings(args)).unwrap_err();
+            assert!(
+                message.starts_with(&format!("unknown flag '{flag}'. known: [\"--fast\"")),
+                "{args:?}: {message}"
+            );
+        }
     }
 
     #[test]

@@ -116,19 +116,22 @@ impl<'c, 'o> Session<'c, 'o> {
     /// Newton overshoot on large steps) and devices whose terminal
     /// voltages stayed inside a tolerance band with the operating region
     /// unchanged reuse their previous linearisation, keeping the
-    /// factorization cache hot. Results agree with the default exact mode
-    /// to solver tolerance (typically within microvolts) but are not
-    /// bitwise identical; circuits without MOSFETs are unaffected.
-    /// Ignored when the reference solver is selected.
+    /// factorization cache hot. Results are not bitwise identical to the
+    /// default exact mode: at the default [`LimitOpts`] bands a settled
+    /// PWM average can sit millivolts away, because the output capacitor
+    /// integrates the frozen linearisations' current error. Circuits
+    /// without MOSFETs are unaffected. Ignored when the reference solver
+    /// is selected.
     pub fn with_device_limiting(mut self, on: bool) -> Self {
         self.limited = on;
         self
     }
 
     /// [`with_device_limiting`](Self::with_device_limiting) with explicit
-    /// latency bands instead of the shipped defaults. Test and tuning
-    /// hook: the golden-equivalence and mutation tests use it to prove
-    /// the equivalence gate notices a broken (over-wide) latency check.
+    /// latency bands instead of the shipped defaults. pwmcell's
+    /// testbenches run every measurement through it at a band held within
+    /// 1e-5 V of exact mode, and the mutation tests use it to prove the
+    /// equivalence gate notices a broken (over-wide) latency check.
     /// DC sweeps clamp the bands down to their own tighter defaults
     /// regardless of what is passed here.
     #[doc(hidden)]

@@ -18,6 +18,11 @@ pub enum CoreError {
         /// The configured width.
         bits: u32,
     },
+    /// A weight width was outside `1..=16` bits.
+    InvalidWeightWidth {
+        /// The offending width.
+        bits: u32,
+    },
     /// Input dimension did not match the perceptron's weight count.
     DimensionMismatch {
         /// Dimension the perceptron expects.
@@ -46,6 +51,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::InvalidWeight { weight, bits } => {
                 write!(f, "weight {weight} does not fit in {bits} bits")
+            }
+            CoreError::InvalidWeightWidth { bits } => {
+                write!(f, "weight width {bits} bits outside 1..=16")
             }
             CoreError::DimensionMismatch { expected, got } => {
                 write!(f, "expected {expected} inputs, got {got}")

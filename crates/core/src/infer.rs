@@ -37,10 +37,9 @@
 //! unchanged.
 
 use std::borrow::Cow;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -85,11 +84,12 @@ impl Tier {
 
     /// Whether the engine memoizes this tier's answers — the one rule
     /// that decides what the [`MemoCache`] holds. Eq. 2 answers in
-    /// 20–35 ns, less than a lookup costs: a hit builds and hashes a key
-    /// and takes a shard lock, and on perfbench's serve_uniform stream
-    /// the cache cost 844 ns per query. So analytic answers are always
-    /// evaluated directly. The switch-level and circuit tiers cost
-    /// microseconds to milliseconds per answer and are memoized.
+    /// 20–35 ns, less than a lookup costs: a hit checks the grid, builds
+    /// and hashes a one-word key, takes a shard lock and counts itself,
+    /// about 63 ns on a warm hot set, and a miss also inserts and may
+    /// flush a shard. So analytic answers are always evaluated directly.
+    /// The switch-level and circuit tiers cost microseconds to
+    /// milliseconds per answer and are memoized.
     fn memoized(self) -> bool {
         self != Tier::Analytic
     }
@@ -126,8 +126,9 @@ impl Query {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidDuty`] / [`CoreError::InvalidWeight`]
-    /// for out-of-range values and [`CoreError::DimensionMismatch`] for
-    /// ragged inputs.
+    /// for out-of-range values, [`CoreError::InvalidWeightWidth`] for a
+    /// width outside `1..=16` bits and [`CoreError::DimensionMismatch`]
+    /// for ragged inputs.
     pub fn from_raw(duties: &[f64], weights: &[u32], bits: u32) -> Result<Self, CoreError> {
         Query::new(
             DutyCycle::try_from_slice(duties)?,
@@ -157,10 +158,25 @@ impl Query {
     /// Whether every duty already lies on the `levels`-point grid, bit
     /// for bit: [`Query::quantized`] would return the query unchanged.
     fn on_grid(&self, levels: u32) -> bool {
-        self.duties
-            .iter()
-            .all(|d| d.quantized(levels).value().to_bits() == d.value().to_bits())
+        let steps = f64::from(levels - 1);
+        self.duties.iter().all(|d| is_grid_value(d.value(), steps))
     }
+}
+
+/// `x` rounded to the nearest integer, for `0 ≤ x ≤ 65 535`: a cast,
+/// where `f64::round` is a libm call on the x86-64 baseline. The two
+/// differ only at 0.49999999999999994, whose sum with 0.5 rounds up to
+/// 1, and no duty that lies on a grid, or one ulp off it, comes near it.
+fn nearest(x: f64) -> u32 {
+    (x + 0.5) as u32
+}
+
+/// Whether `duty` lies on the `steps + 1`-level grid, exactly when
+/// [`DutyCycle::quantized`] would return it bit for bit, decided with
+/// [`nearest`]. It compares by value so that −0.0, which `quantized`
+/// keeps, stays on the grid.
+fn is_grid_value(duty: f64, steps: f64) -> bool {
+    f64::from(nearest(duty * steps)) / steps == duty
 }
 
 /// One inference response.
@@ -267,17 +283,100 @@ impl Default for TierPolicy {
     }
 }
 
-/// Cache key: duty indices on the `resolution`-level grid (at most
-/// 65 536 levels, so an index fits a `u16`) plus the exact weight vector
-/// and producing tier. Weights are part of the key, so a
-/// weight mutation can never be served a stale entry — it simply misses.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Cache key: the admitted query's duty indices on the
+/// `resolution`-level grid (at most 65 536 levels, so an index fits 16
+/// bits), its exact weights and weight width, its length and the
+/// producing tier, with their hash computed once beside them. Weights
+/// are part of the key, so a weight mutation can never be served a
+/// stale entry — it simply misses.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct CacheKey {
-    duties: Vec<u16>,
-    weights: Vec<u32>,
-    bits: u32,
-    tier: u8,
+    /// [`mix`] of the fields: the shard maps read it through
+    /// [`StoredHash`] instead of hashing the key again.
+    hash: u64,
+    fields: KeyFields,
 }
+
+/// The fields of a [`CacheKey`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum KeyFields {
+    /// Every field in one word, for a query whose (index, weight) pairs
+    /// fit [`PACKED_PAIR_BITS`]: from the top, each pair's index then
+    /// weight, then [`HEADER_BITS`] of length, weight width − 1 and tier.
+    /// The paper's 3×3 query with 3-bit weights on a 16-level grid
+    /// takes 21 bits of pairs.
+    Packed(u64),
+    /// The same fields as words, owned: tier and weight width − 1, the
+    /// duty indices, then the weights (the length is the slice's).
+    Wide(Box<[u32]>),
+}
+
+/// Low bits of a packed key: tier (2 bits), weight width − 1 (4 bits,
+/// as `WeightVector` admits 1..=16) and, from [`LEN_SHIFT`], length (5
+/// bits).
+const HEADER_BITS: u32 = 11;
+const LEN_SHIFT: u32 = 6;
+/// Longest query a packed key holds, the largest its length field holds.
+const MAX_PACKED_LEN: usize = (1 << (HEADER_BITS - LEN_SHIFT)) - 1;
+/// Bits a packed key has for its (index, weight) pairs.
+const PACKED_PAIR_BITS: u32 = u64::BITS - HEADER_BITS;
+
+/// A fixed 64-bit mix (the splitmix64 finalizer), a bijection in which
+/// every input bit moves about half the output bits. It is the same
+/// function in every cache and every run, so which entries a shard
+/// flush discards never depends on the engine instance.
+fn mix(x: u64) -> u64 {
+    let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+impl CacheKey {
+    fn new(fields: KeyFields) -> Self {
+        let hash = match &fields {
+            KeyFields::Packed(word) => mix(*word),
+            KeyFields::Wide(words) => words
+                .iter()
+                .fold(0, |hash, &word| mix(hash ^ u64::from(word))),
+        };
+        CacheKey { hash, fields }
+    }
+}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Hasher of the shard maps and of a batch's miss map: it passes a
+/// [`CacheKey`]'s stored hash through, so a lookup hashes once.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    /// Only [`CacheKey`]s are hashed here, each with one `write_u64`;
+    /// any other input is still mixed in, not dropped.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = mix(self.0 ^ u64::from(byte));
+        }
+    }
+}
+
+/// The [`PassThrough`] hasher's builder.
+type StoredHash = BuildHasherDefault<PassThrough>;
+
+/// One cache shard.
+type Shard = HashMap<CacheKey, f64, StoredHash>;
 
 /// Counter snapshot of a [`MemoCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -317,14 +416,22 @@ impl CacheStats {
 /// deterministic and never serves a stale value — keys carry the full
 /// weight vector, so mutated weights miss instead of colliding.
 ///
+/// A lookup allocates nothing and hashes once when the query's (duty
+/// index, weight) pairs fit 53 bits, as the paper's 3×3 query with 3-bit
+/// weights on a 16-level grid does in 21: its key is one word, the hash
+/// a fixed mix of that word, and the shard comes from hash bits its map
+/// does not use. Wider queries key on owned words in the same maps.
+///
 /// A poisoned shard lock (a panic while a writer held it) is recovered,
 /// not propagated: the shard is cleared — its entries are memoized
 /// recomputables, so the only cost is re-evaluation — the poison flag is
 /// reset, and the incident is counted in [`CacheStats::lock_poisoned`].
 #[derive(Debug)]
 pub struct MemoCache {
-    shards: Vec<RwLock<HashMap<CacheKey, f64>>>,
+    shards: Vec<RwLock<Shard>>,
     resolution: u32,
+    /// Bits of the largest duty index, `resolution − 1`.
+    index_bits: u32,
     shard_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -334,6 +441,17 @@ pub struct MemoCache {
 }
 
 const SHARDS: usize = 16;
+const _: () = assert!(SHARDS.is_power_of_two());
+
+/// Lowest hash bit of a key's shard number. The std map (hashbrown)
+/// takes a bucket from the low hash bits and a control tag from the top
+/// 7, so the shard comes from the bits just below the tag, and the keys
+/// of one shard still spread over their map's buckets and tags.
+const SHARD_SHIFT: u32 = u64::BITS - 7 - SHARDS.trailing_zeros();
+
+fn shard_of(hash: u64) -> usize {
+    (hash >> SHARD_SHIFT) as usize % SHARDS
+}
 
 impl MemoCache {
     /// Cache with `resolution` duty levels and room for roughly
@@ -341,16 +459,16 @@ impl MemoCache {
     ///
     /// # Panics
     ///
-    /// Panics if `resolution < 2`, if `resolution > 65_536` (level
-    /// indices are keyed as `u16`, so finer grids would collide) or if
-    /// `capacity == 0`.
+    /// Panics if `resolution < 2`, if `resolution > 65_536` (a key holds
+    /// a level index in at most 16 bits) or if `capacity == 0`.
     pub fn new(resolution: u32, capacity: usize) -> Self {
         assert!(resolution >= 2, "need at least two duty levels");
         assert!(resolution <= 1 << 16, "at most 65536 duty levels");
         assert!(capacity > 0, "capacity must be positive");
         MemoCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
             resolution,
+            index_bits: u32::BITS - (resolution - 1).leading_zeros(),
             shard_capacity: capacity.div_ceil(SHARDS).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -367,7 +485,7 @@ impl MemoCache {
 
     /// Write access to a shard, recovering a poisoned lock by clearing
     /// the shard (entries are recomputable) and resetting the flag.
-    fn write_shard(&self, idx: usize) -> RwLockWriteGuard<'_, HashMap<CacheKey, f64>> {
+    fn write_shard(&self, idx: usize) -> RwLockWriteGuard<'_, Shard> {
         match self.shards[idx].write() {
             Ok(guard) => guard,
             Err(poisoned) => {
@@ -382,7 +500,7 @@ impl MemoCache {
 
     /// Read access to a shard, routing a poisoned lock through the write
     /// path first so it is cleared and counted exactly once.
-    fn read_shard(&self, idx: usize) -> RwLockReadGuard<'_, HashMap<CacheKey, f64>> {
+    fn read_shard(&self, idx: usize) -> RwLockReadGuard<'_, Shard> {
         if self.shards[idx].is_poisoned() {
             drop(self.write_shard(idx));
         }
@@ -427,28 +545,33 @@ impl MemoCache {
         lock.is_poisoned()
     }
 
+    /// The key of an admitted (on-grid) query: packed into one word
+    /// when its pairs fit, owned words otherwise.
     fn key(&self, query: &Query, tier: Tier) -> CacheKey {
-        let top = (self.resolution - 1) as f64;
-        CacheKey {
-            duties: query
-                .duties
-                .iter()
-                .map(|d| (d.value() * top).round() as u16)
-                .collect(),
-            weights: query.weights.as_slice().to_vec(),
-            bits: query.weights.bits(),
-            tier: tier.index() as u8,
+        let top = f64::from(self.resolution - 1);
+        let indices = query.duties.iter().map(|d| nearest(d.value() * top));
+        let weights = query.weights.as_slice();
+        let bits = query.weights.bits();
+        let pair_bits = self.index_bits + bits;
+        let len = weights.len();
+        let head = (bits - 1) << 2 | tier.index() as u32;
+        if len <= MAX_PACKED_LEN && len as u32 * pair_bits <= PACKED_PAIR_BITS {
+            let pairs = indices.zip(weights).fold(0, |word, (index, &weight)| {
+                word << pair_bits | u64::from(index) << bits | u64::from(weight)
+            });
+            let word = pairs << HEADER_BITS | (len as u64) << LEN_SHIFT | u64::from(head);
+            CacheKey::new(KeyFields::Packed(word))
+        } else {
+            let words = std::iter::once(head)
+                .chain(indices)
+                .chain(weights.iter().copied())
+                .collect();
+            CacheKey::new(KeyFields::Wide(words))
         }
     }
 
-    fn shard_of(&self, key: &CacheKey) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
-    }
-
     fn lookup(&self, key: &CacheKey) -> Option<f64> {
-        let found = self.read_shard(self.shard_of(key)).get(key).copied();
+        let found = self.read_shard(shard_of(key.hash)).get(key).copied();
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -458,7 +581,7 @@ impl MemoCache {
     }
 
     fn insert(&self, key: CacheKey, vout: f64) {
-        let mut shard = self.write_shard(self.shard_of(&key));
+        let mut shard = self.write_shard(shard_of(key.hash));
         if shard.len() >= self.shard_capacity && !shard.contains_key(&key) {
             self.evictions
                 .fetch_add(shard.len() as u64, Ordering::Relaxed);
@@ -848,7 +971,7 @@ impl InferenceEngine {
 
         let mut out: Vec<Option<Result<Eval, CoreError>>> = vec![None; queries.len()];
         // Key → position in the deduplicated miss list.
-        let mut miss_of: HashMap<CacheKey, usize> = HashMap::new();
+        let mut miss_of: HashMap<CacheKey, usize, StoredHash> = HashMap::default();
         let mut misses: Vec<Query> = Vec::new();
         // Per input query: which miss slot serves it (None = cache hit).
         let mut slot_of: Vec<Option<usize>> = Vec::with_capacity(queries.len());
@@ -1044,6 +1167,63 @@ mod tests {
         let q = query(&[0.1, 0.5, 0.9]);
         assert_eq!(q.duties().len(), 3);
         assert_eq!(q.weights().as_slice(), &[7, 5, 3]);
+    }
+
+    #[test]
+    fn query_rejects_weight_widths_outside_1_to_16() {
+        for bits in [0, 17] {
+            assert_eq!(
+                Query::from_raw(&[0.5], &[1], bits),
+                Err(CoreError::InvalidWeightWidth { bits })
+            );
+        }
+        assert!(Query::from_raw(&[0.5], &[65_535], 16).is_ok());
+    }
+
+    #[test]
+    fn cast_rounding_decides_grid_membership_like_round() {
+        // Every grid value j/(R−1) and its neighbours one ulp away; −g is
+        // −0.0 at j = 0, a valid duty that `quantized` keeps.
+        for levels in (2u32..=1024).chain([1 << 16]) {
+            let steps = f64::from(levels - 1);
+            for j in 0..levels {
+                let g = f64::from(j) / steps;
+                for duty in [g.next_down(), g, g.next_up(), -g] {
+                    if !(0.0..=1.0).contains(&duty) {
+                        continue;
+                    }
+                    let x = duty * steps;
+                    assert_eq!(nearest(x), x.round() as u32, "{duty} on {levels} levels");
+                    let snapped = DutyCycle::new(duty).quantized(levels).value();
+                    assert_eq!(
+                        is_grid_value(duty, steps),
+                        snapped.to_bits() == duty.to_bits(),
+                        "{duty} on {levels} levels"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keys_pack_into_one_word_while_their_pairs_fit() {
+        let packed = |cache: &MemoCache, q: &Query| {
+            matches!(cache.key(q, Tier::Circuit).fields, KeyFields::Packed(_))
+        };
+        // The paper's 3×3 query: three 4-bit indices and 3-bit weights.
+        assert!(packed(&MemoCache::new(16, 64), &query(&[0.2, 0.4, 1.0])));
+        // 2-bit pairs: 26 fill 52 of the 53 pair bits, 27 do not fit.
+        let two_levels = MemoCache::new(2, 64);
+        for (len, fits) in [(26, true), (27, false)] {
+            let q = Query::from_raw(&vec![1.0; len], &vec![1; len], 1).unwrap();
+            assert_eq!(packed(&two_levels, &q), fits, "{len} pairs");
+        }
+        // 32-bit pairs: one fits, two do not.
+        let finest = MemoCache::new(1 << 16, 64);
+        for (len, fits) in [(1, true), (2, false)] {
+            let q = Query::from_raw(&vec![1.0; len], &vec![65_535; len], 16).unwrap();
+            assert_eq!(packed(&finest, &q), fits, "{len} pairs");
+        }
     }
 
     #[test]
@@ -1400,8 +1580,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 65536 duty levels")]
     fn cache_rejects_grids_finer_than_its_keys() {
-        // Level 100 000 of a 2^17-level grid would key as the saturated
-        // u16 65 535 and collide with every level above it.
+        // A key holds a level index in at most 16 bits, so a 2^17-level
+        // grid is refused rather than keyed.
         let _ = MemoCache::new(65_537, 1024);
     }
 

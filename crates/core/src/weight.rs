@@ -10,6 +10,17 @@ use std::fmt;
 
 use crate::error::CoreError;
 
+const WIDTH_RANGE: &str = "weight width must be 1..=16 bits";
+
+/// The hardware's weight widths: `1..=16` bits.
+fn check_width(bits: u32) -> Result<(), CoreError> {
+    if (1..=16).contains(&bits) {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidWeightWidth { bits })
+    }
+}
+
 /// An unsigned integer weight vector with a fixed bit width.
 ///
 /// # Examples
@@ -33,11 +44,12 @@ impl WeightVector {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidWeight`] if any weight exceeds
-    /// `2^bits − 1`, or [`CoreError::EmptyDataset`]-style dimension error
-    /// if `weights` is empty.
+    /// Returns [`CoreError::InvalidWeightWidth`] if `bits` is outside
+    /// `1..=16`, [`CoreError::InvalidWeight`] if any weight exceeds
+    /// `2^bits − 1`, or [`CoreError::DimensionMismatch`] if `weights` is
+    /// empty.
     pub fn new(weights: Vec<u32>, bits: u32) -> Result<Self, CoreError> {
-        assert!((1..=16).contains(&bits), "weight width must be 1..=16 bits");
+        check_width(bits)?;
         if weights.is_empty() {
             return Err(CoreError::DimensionMismatch {
                 expected: 1,
@@ -57,15 +69,25 @@ impl WeightVector {
     }
 
     /// All-zero weights of the given dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is outside `1..=16`.
     pub fn zeros(len: usize, bits: u32) -> Self {
-        Self::new(vec![0; len.max(1)], bits).expect("zeros are always valid")
+        Self::new(vec![0; len.max(1)], bits).expect(WIDTH_RANGE)
     }
 
     /// All-maximal weights of the given dimension (the paper's Table II
     /// row 1 style).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is outside `1..=16`.
     pub fn maxed(len: usize, bits: u32) -> Self {
-        let max = (1u32 << bits) - 1;
-        Self::new(vec![max; len.max(1)], bits).expect("max weights are always valid")
+        let mut maxed = Self::zeros(len, bits);
+        let max = maxed.max_weight();
+        maxed.weights.fill(max);
+        maxed
     }
 
     /// Number of weights.
@@ -170,19 +192,21 @@ impl SignedWeightVector {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidWeight`] if any |weight| exceeds
-    /// `2^bits − 1`.
+    /// Returns [`CoreError::InvalidWeightWidth`] if `bits` is outside
+    /// `1..=16`, [`CoreError::InvalidWeight`] if any |weight| exceeds
+    /// `2^bits − 1`, or [`CoreError::DimensionMismatch`] if `weights` is
+    /// empty.
     pub fn new(weights: Vec<i32>, bits: u32) -> Result<Self, CoreError> {
-        assert!((1..=16).contains(&bits), "weight width must be 1..=16 bits");
+        check_width(bits)?;
         if weights.is_empty() {
             return Err(CoreError::DimensionMismatch {
                 expected: 1,
                 got: 0,
             });
         }
-        let max = (1i32 << bits) - 1;
+        let max = (1u32 << bits) - 1;
         for &w in &weights {
-            if w.abs() > max {
+            if w.unsigned_abs() > max {
                 return Err(CoreError::InvalidWeight {
                     weight: w as i64,
                     bits,
@@ -193,8 +217,12 @@ impl SignedWeightVector {
     }
 
     /// All-zero signed weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is outside `1..=16`.
     pub fn zeros(len: usize, bits: u32) -> Self {
-        Self::new(vec![0; len.max(1)], bits).expect("zeros are valid")
+        Self::new(vec![0; len.max(1)], bits).expect(WIDTH_RANGE)
     }
 
     /// Number of weights.
@@ -270,6 +298,23 @@ mod tests {
     }
 
     #[test]
+    fn widths_outside_1_to_16_are_errors() {
+        for bits in [0, 17, u32::MAX] {
+            let width = CoreError::InvalidWeightWidth { bits };
+            assert_eq!(WeightVector::new(vec![1], bits), Err(width.clone()));
+            assert_eq!(SignedWeightVector::new(vec![1], bits), Err(width));
+        }
+        assert_eq!(WeightVector::maxed(1, 16).as_slice(), &[65_535]);
+        assert!(SignedWeightVector::new(vec![-65_535], 16).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "weight width must be 1..=16 bits")]
+    fn maxed_panics_outside_1_to_16_bits() {
+        let _ = WeightVector::maxed(2, 0);
+    }
+
+    #[test]
     fn display_format() {
         let w = WeightVector::new(vec![1, 2], 3).unwrap();
         assert_eq!(w.to_string(), "[1, 2]:3b");
@@ -300,5 +345,20 @@ mod tests {
         assert_eq!(s.as_slice(), &[7]);
         s.nudge(0, -100);
         assert_eq!(s.as_slice(), &[-7]);
+    }
+
+    #[test]
+    fn extreme_signed_weights_are_rejected_not_wrapped() {
+        // |i32::MIN| does not fit an i32, so `abs` would wrap (release)
+        // or panic (debug) instead of reporting the weight.
+        for w in [i32::MIN, i32::MIN + 1, i32::MAX] {
+            assert_eq!(
+                SignedWeightVector::new(vec![0, w], 3),
+                Err(CoreError::InvalidWeight {
+                    weight: i64::from(w),
+                    bits: 3
+                })
+            );
+        }
     }
 }

@@ -96,12 +96,97 @@ impl Evaluator for ClosedFormSwitch {
     }
 }
 
+/// The analytic closed form posing as either memoized tier.
+#[derive(Debug)]
+struct ClosedFormAt(Tier);
+
+impl Evaluator for ClosedFormAt {
+    fn vout(&self, duties: &[DutyCycle], weights: &WeightVector) -> Result<Volts, CoreError> {
+        AnalyticEvaluator::paper().vout(duties, weights)
+    }
+
+    fn vdd(&self) -> Volts {
+        Volts(2.5)
+    }
+
+    fn tier(&self) -> Tier {
+        self.0
+    }
+}
+
 /// A cached engine serving at the memoized switch-level tier.
 fn engine(levels: u32, capacity: usize) -> InferenceEngine {
     InferenceEngine::new(Volts(2.5))
         .with_switch_tier(ClosedFormSwitch(AnalyticEvaluator::paper()))
         .with_policy(TierPolicy::switch_level())
         .with_cache(levels, capacity)
+}
+
+/// A grid of 2–65 536 levels drawn log-uniformly: `2^k` plus an offset
+/// below `2^k`, capped at the finest grid the cache keys.
+fn grid_levels((k, offset): (u32, u32)) -> u32 {
+    ((1u32 << k) + offset % (1 << k)).min(1 << 16)
+}
+
+/// Raw material for one query of any shape: its length, its weight
+/// width and six (duty index, weight) choices, of which the first
+/// `length` are used.
+type ShapedRaw = (usize, u32, Vec<(usize, usize)>);
+
+fn shaped_raw() -> impl Strategy<Value = ShapedRaw> {
+    (
+        1usize..=6,
+        1u32..=16,
+        prop::collection::vec((0usize..5, 0usize..5), 6),
+    )
+}
+
+/// One of five values in `0..=top`, the extremes included: neighbouring
+/// fields of a key are all zeros or all ones there, where a field that
+/// spilled into the next would collide.
+fn pick(choice: usize, top: u32) -> u32 {
+    [0, 1, top / 2, top - 1, top][choice]
+}
+
+/// The query `raw` describes on a `levels`-point grid, or a neighbour of
+/// it that a key missing a field would confuse with it: `variant` 1
+/// widens its weights by one bit, 2 puts a zero (index, weight) pair in
+/// front, 3 drops its first pair, 4 flips the last weight's low bit and
+/// 5 moves the last duty one level. Its first duty lies one ulp off the
+/// grid when `nudged`, which admission snaps back.
+fn shaped_query(levels: u32, raw: &ShapedRaw, variant: usize, nudged: bool) -> Query {
+    let (len, mut bits, choices) = raw.clone();
+    let top = levels - 1;
+    let mut pairs: Vec<(u32, u32)> = choices[..len]
+        .iter()
+        .map(|&(i, w)| (pick(i, top), pick(w, (1 << bits) - 1)))
+        .collect();
+    match variant {
+        1 if bits < 16 => bits += 1,
+        2 if len < 6 => pairs.insert(0, (0, 0)),
+        3 if len > 1 => {
+            pairs.remove(0);
+        }
+        4 => pairs[len - 1].1 ^= 1,
+        5 => {
+            let index = &mut pairs[len - 1].0;
+            *index = if *index > 0 { *index - 1 } else { 1 };
+        }
+        _ => {}
+    }
+    let mut duties: Vec<f64> = pairs
+        .iter()
+        .map(|&(i, _)| f64::from(i) / f64::from(top))
+        .collect();
+    if nudged {
+        duties[0] = if duties[0] < 1.0 {
+            duties[0].next_up()
+        } else {
+            duties[0].next_down()
+        };
+    }
+    let weights: Vec<u32> = pairs.iter().map(|&(_, w)| w).collect();
+    Query::from_raw(&duties, &weights, bits).expect("grid duties and in-range weights")
 }
 
 proptest! {
@@ -251,6 +336,54 @@ proptest! {
         // Bookkeeping stays coherent under churn.
         let stats = cached.report().cache;
         prop_assert!(stats.insertions >= stats.evictions);
+    }
+
+    /// A query is served `cached` exactly when an equal admitted query
+    /// was served before at the same tier, for every shape: lengths 1–6,
+    /// weight widths 1–16 and grids of 2–65 536 levels, so keys that
+    /// pack into one word and keys too wide for it share the shard maps.
+    /// The stream mixes queries with near neighbours that a key missing
+    /// a field would serve from the cache. Every answer is the bare
+    /// evaluator's on the admitted query.
+    #[test]
+    fn served_cached_exactly_when_an_equal_admitted_query_was_served(
+        grid in (1u32..=16, 0u32..65_536),
+        circuit in any::<bool>(),
+        pool in prop::collection::vec(shaped_raw(), 1..12),
+        picks in prop::collection::vec((0usize..64, 0usize..6, any::<bool>()), 1..64),
+    ) {
+        let levels = grid_levels(grid);
+        let engine = InferenceEngine::new(Volts(2.5));
+        let (engine, tier) = if circuit {
+            let engine = engine.with_circuit_tier(ClosedFormAt(Tier::Circuit));
+            (engine.with_policy(TierPolicy::circuit()), Tier::Circuit)
+        } else {
+            let engine = engine.with_switch_tier(ClosedFormAt(Tier::SwitchLevel));
+            (engine.with_policy(TierPolicy::switch_level()), Tier::SwitchLevel)
+        };
+        // Room for every query: no shard is ever flushed.
+        let engine = engine.with_cache(levels, 1 << 16);
+        let bare = AnalyticEvaluator::paper();
+        let mut served: Vec<Query> = Vec::new();
+        for (pick, variant, nudged) in picks {
+            let query = shaped_query(levels, &pool[pick % pool.len()], variant, nudged);
+            let admitted = query.quantized(levels);
+            let eval = engine.evaluate(&query).unwrap();
+            prop_assert_eq!(eval.tier, tier);
+            prop_assert_eq!(
+                eval.cached,
+                served.contains(&admitted),
+                "{:?} on {} levels",
+                admitted,
+                levels
+            );
+            prop_assert_eq!(
+                eval.vout.value().to_bits(),
+                bare.evaluate(&admitted).unwrap().vout.value().to_bits()
+            );
+            served.push(admitted);
+        }
+        prop_assert_eq!(engine.report().cache.evictions, 0);
     }
 
     /// Analytic answers skip the memo cache: single and batched, on and

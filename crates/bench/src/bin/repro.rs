@@ -904,8 +904,9 @@ fn verify_report(tech: &Technology) {
 /// guaranteed-singular pivots (MS030) and overflow-prone stamp ranges
 /// (MS031) over the whole envelope. Warn-level findings (cancellation,
 /// certified condition bounds) are reported but do not fail the run.
-/// Writes the `mssim-analyze-v1` record `results/ANALYZE_mssim.json` and
-/// exits nonzero on any denial, so CI gates on it.
+/// Writes the `mssim-analyze-v2` record `results/ANALYZE_mssim.json`
+/// (findings only, no timings, so it regenerates byte for byte) and exits
+/// nonzero on any denial, so CI gates on it.
 fn analyze_report(tech: &Technology) {
     use bench::output::results_dir;
     use mssim::prelude::Ranges;
@@ -918,14 +919,12 @@ fn analyze_report(tech: &Technology) {
         .with_supply_scale(0.9, 1.0);
     let mut denials = 0usize;
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"mssim-analyze-v1\",\n");
+    json.push_str("{\n  \"schema\": \"mssim-analyze-v2\",\n");
     json.push_str("  \"tolerance\": 0.05,\n  \"supply_scale\": [0.9, 1.0],\n");
     json.push_str("  \"circuits\": [\n");
     let circuits = shipped_analog_circuits(tech);
     for (idx, (name, ckt)) in circuits.iter().enumerate() {
-        let t0 = Instant::now();
         let report = mssim::analyze_circuit(ckt, &ranges);
-        let wall_ns = t0.elapsed().as_nanos();
         denials += report.denials().count();
         print!("[analyze] {name}: {report}");
         json.push_str("    {\n");
@@ -938,7 +937,6 @@ fn analyze_report(tech: &Technology) {
             "      \"warnings\": {},\n",
             report.warnings().count()
         ));
-        json.push_str(&format!("      \"wall_ns\": {wall_ns},\n"));
         json.push_str("      \"findings\": [");
         for (i, d) in report.findings().iter().enumerate() {
             if i > 0 {
@@ -1114,7 +1112,9 @@ fn trace(tech: &Technology) {
 /// the convergence-rescue ladder, classifies each settled output against
 /// the Eq. 2 analytic value, prints the verdict table (sorted by fault
 /// label) and writes the schema-versioned record
-/// `results/FAULTS_mssim.json`. Static fault collapsing is on by default
+/// `results/FAULTS_mssim.json` at `--fast` and
+/// `results/FAULTS_full_mssim.json` at full quality (the MOS campaign
+/// likewise, as `FAULTS_mos_*`). Static fault collapsing is on by default
 /// — plan-equivalent faults share one transient — and `--no-collapse`
 /// forces the full sweep; both paths produce bitwise-identical verdicts
 /// and JSON, which CI cross-checks with `cmp` (pass `--no-triage` on
@@ -1267,7 +1267,10 @@ fn faults(tech: &Technology, fast: bool, no_collapse: bool, no_triage: bool, tri
     }
 
     let json = campaign::to_json(&report, &config, fast);
-    let path = results_dir().join("FAULTS_mssim.json");
+    // One file name per quality: `--fast` records are committed, full ones
+    // are git-ignored.
+    let quality = if fast { "" } else { "full_" };
+    let path = results_dir().join(format!("FAULTS_{quality}mssim.json"));
     match std::fs::write(&path, &json) {
         Ok(()) => println!("wrote {} ({} bytes)", path.display(), json.len()),
         Err(e) => eprintln!("  warning: could not write {}: {e}", path.display()),
@@ -1353,7 +1356,7 @@ fn faults(tech: &Technology, fast: bool, no_collapse: bool, no_triage: bool, tri
         );
     }
     let mos_json = campaign::to_json(&mos, &config, fast);
-    let mos_path = results_dir().join("FAULTS_mos_mssim.json");
+    let mos_path = results_dir().join(format!("FAULTS_mos_{quality}mssim.json"));
     match std::fs::write(&mos_path, &mos_json) {
         Ok(()) => println!("wrote {} ({} bytes)", mos_path.display(), mos_json.len()),
         Err(e) => eprintln!("  warning: could not write {}: {e}", mos_path.display()),

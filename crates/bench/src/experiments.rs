@@ -13,7 +13,10 @@ use pwm_perceptron::robustness::{self, McSummary, VariationSpec};
 use pwm_perceptron::train::{train, TrainConfig};
 use pwm_perceptron::{PwmPerceptron, Query, Reference, WeightVector};
 use pwmcell::analytic;
-use pwmcell::{AdderSpec, AdderTestbench, InverterTestbench, MeasureSpec, SimQuality, Technology};
+use pwmcell::{
+    measure_periodic, AdderSpec, AdderTestbench, InverterTestbench, MeasureSpec, SimQuality,
+    Technology,
+};
 
 /// The six input configurations of the paper's Table II.
 pub const TABLE2_CONFIGS: [([f64; 3], [u32; 3]); 6] = [
@@ -343,7 +346,7 @@ pub fn mc_circuit_level(
     let samples = sweep::monte_carlo(trials, seed, |rng, _| {
         let mut ckt = Circuit::new();
         let vdd = ckt.node("vdd");
-        ckt.vsource("VDD", vdd, Circuit::GND, Waveform::dc(tech.vdd.value()));
+        let vdd_src = ckt.vsource("VDD", vdd, Circuit::GND, Waveform::dc(tech.vdd.value()));
         let adder = pwmcell::WeightedAdder::build(
             &mut ckt,
             tech,
@@ -363,17 +366,12 @@ pub fn mc_circuit_level(
         robustness::perturb_circuit(&mut ckt, &VariationSpec::typical_65nm(), rng);
         let period = tech.frequency.period().value();
         let tau = tech.cout_adder.value() * (tech.rout.value() + 9e3) / 21.0;
-        let settle = ((quality.settle_time_constants * tau / period).ceil() as usize).max(4);
-        let t_stop = (settle + quality.measure_periods) as f64 * period;
-        let result = Session::new(&ckt)
-            .transient(
-                &Transient::new(period / quality.steps_per_period as f64, t_stop)
-                    .use_initial_conditions(),
-            )
-            .expect("mc transient converges");
-        result
-            .voltage(adder.output)
-            .steady_state_average(period, quality.measure_periods)
+        let plan = quality.plan(period, tau);
+        measure_periodic(&ckt, adder.output, vdd_src, &plan, None, None)
+            .and_then(|run| run.measurement)
+            .expect("mc transient converges")
+            .vout
+            .value()
     });
     McSummary::from_samples(samples)
 }

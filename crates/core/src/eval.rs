@@ -299,21 +299,13 @@ impl Evaluator for CircuitEvaluator {
     }
 
     fn evaluate(&self, query: &Query) -> Result<Eval, CoreError> {
-        let Some(policy) = &self.rescue else {
-            return Ok(Eval {
-                vout: self.vout(query.duties(), query.weights())?,
-                tier: Tier::Circuit,
-                cached: false,
-                degraded: false,
-                error_bound: 0.0,
-            });
-        };
         check_dims(query.duties(), query.weights())?;
         let weights = query.weights();
         let spec = AdderSpec::new(weights.len(), weights.bits());
         let tb = AdderTestbench::new(&self.tech, spec);
         let runner = tb.batch_runner(weights.as_slice(), self.frequency, self.vdd, &self.quality);
-        let m = runner.measure_rescued(&DutyCycle::to_raw(query.duties()), policy)?;
+        let duties = DutyCycle::to_raw(query.duties());
+        let m = runner.measure_rescued(&duties, self.rescue.as_ref())?;
         Ok(Self::rescued_eval(m))
     }
 
@@ -338,13 +330,8 @@ impl Evaluator for CircuitEvaluator {
                 .iter()
                 .map(|&i| DutyCycle::to_raw(queries[i].duties()))
                 .collect();
-            let measured = mssim::sweep::sweep(&duty_sets, |d, _| match &self.rescue {
-                Some(policy) => runner.measure_rescued(d, policy),
-                None => runner.measure(d).map(|m| pwmcell::RescuedAdderMeasurement {
-                    measurement: m,
-                    partial: false,
-                    rescue_attempts: 0,
-                }),
+            let measured = mssim::sweep::sweep(&duty_sets, |d, _| {
+                runner.measure_rescued(d, self.rescue.as_ref())
             });
             for (&i, m) in indices.iter().zip(measured) {
                 out[i] = Some(m.map(Self::rescued_eval).map_err(CoreError::from));

@@ -47,14 +47,15 @@
 
 use mssim::faults::UniverseConfig;
 use mssim::prelude::{
-    collapse_faults, triage_circuit, Circuit, CollapseMember, Error as SimError, LabeledFault,
-    NodeId, Ranges, RescuePolicy, Session, StaticVerdict, Transient, TransientOutcome,
-    TriageVerdict, VerdictBands, Waveform,
+    collapse_faults, triage_circuit, Circuit, CollapseMember, ElementId, Error as SimError,
+    LabeledFault, NodeId, Ranges, RescuePolicy, StaticVerdict, TransientOutcome, TriageVerdict,
+    VerdictBands, Waveform,
 };
+use mssim::session::LimitOpts;
 use mssim::sweep;
 use mssim::telemetry::{dispatch, Event, Observer};
 use pwmcell::faults::{switch_adder_universe, weighted_adder_universe};
-use pwmcell::{AdderSpec, SwitchAdder, Technology, WeightedAdder};
+use pwmcell::{measure_periodic, AdderSpec, PeriodicPlan, SwitchAdder, Technology, WeightedAdder};
 
 use crate::error::CoreError;
 use crate::eval::{AnalyticEvaluator, Evaluator};
@@ -289,22 +290,25 @@ fn trailing_average(time: &[f64], values: &[f64], t_from: f64) -> Option<f64> {
     (span > 0.0).then(|| area / span)
 }
 
+/// Runs one campaign transient through [`measure_periodic`] under the
+/// rescue ladder, in limited MOS mode at [`LimitOpts::default`] (a netlist
+/// without MOSFETs runs identically in either mode). The settled output is
+/// the [`trailing_average`] from the first sample at or after
+/// `t_stop − window_periods·T`; a partial run has none.
 fn measure(
     circuit: &Circuit,
     output: NodeId,
-    tran: &Transient,
+    supply: ElementId,
+    plan: &PeriodicPlan,
     rescue: &RescuePolicy,
-    t_avg_from: f64,
-    limited: bool,
 ) -> Measured {
-    match Session::new(circuit)
-        .with_device_limiting(limited)
-        .transient_rescued(tran, rescue)
-    {
-        Ok(outcome) => {
-            let rescues = outcome.rescues();
+    let mode = Some(LimitOpts::default());
+    match measure_periodic(circuit, output, supply, plan, mode, Some(rescue)) {
+        Ok(run) => {
+            let rescues = run.outcome.rescues();
             let (attempts, recoveries) = (rescues.total_attempts(), rescues.recovered());
-            match outcome {
+            let t_avg_from = plan.t_stop - plan.window_periods as f64 * plan.period;
+            match run.outcome {
                 TransientOutcome::Complete { result, .. } => {
                     let v = result.voltage(output);
                     Measured {
@@ -356,14 +360,15 @@ fn classify(measured: &Measured, analytic_vout: f64, config: &CampaignConfig) ->
     }
 }
 
-/// Builds the campaign's switch-level adder testbench.
+/// Builds the campaign's switch-level adder testbench and returns it with
+/// its supply source.
 fn adder_fixture(
     tech: &Technology,
     spec: AdderSpec,
     weights: &[u32],
     duties: &[f64],
     frequency: f64,
-) -> Result<(Circuit, SwitchAdder), CoreError> {
+) -> Result<(Circuit, ElementId, SwitchAdder), CoreError> {
     if duties.len() != weights.len() {
         return Err(CoreError::DimensionMismatch {
             expected: weights.len(),
@@ -380,7 +385,7 @@ fn adder_fixture(
     WeightVector::new(weights.to_vec(), spec.bits)?;
     let mut ckt = Circuit::new();
     let vdd = ckt.node("vdd");
-    ckt.vsource("VDD", vdd, Circuit::GND, Waveform::dc(tech.vdd.value()));
+    let supply = ckt.vsource("VDD", vdd, Circuit::GND, Waveform::dc(tech.vdd.value()));
     let adder = SwitchAdder::build(&mut ckt, tech, "add", vdd, weights, spec);
     for (i, &d) in duties.iter().enumerate() {
         ckt.vsource(
@@ -390,17 +395,18 @@ fn adder_fixture(
             Waveform::pwm(tech.vdd.value(), frequency, d),
         );
     }
-    Ok((ckt, adder))
+    Ok((ckt, supply, adder))
 }
 
-/// Builds the campaign's transistor-level (Fig. 3) adder testbench.
+/// Builds the campaign's transistor-level (Fig. 3) adder testbench and
+/// returns it with its supply source.
 fn weighted_adder_fixture(
     tech: &Technology,
     spec: AdderSpec,
     weights: &[u32],
     duties: &[f64],
     frequency: f64,
-) -> Result<(Circuit, WeightedAdder), CoreError> {
+) -> Result<(Circuit, ElementId, WeightedAdder), CoreError> {
     if duties.len() != weights.len() {
         return Err(CoreError::DimensionMismatch {
             expected: weights.len(),
@@ -415,7 +421,7 @@ fn weighted_adder_fixture(
     WeightVector::new(weights.to_vec(), spec.bits)?;
     let mut ckt = Circuit::new();
     let vdd = ckt.node("vdd");
-    ckt.vsource("VDD", vdd, Circuit::GND, Waveform::dc(tech.vdd.value()));
+    let supply = ckt.vsource("VDD", vdd, Circuit::GND, Waveform::dc(tech.vdd.value()));
     let adder = WeightedAdder::build(&mut ckt, tech, "add", vdd, weights, spec);
     for (i, &d) in duties.iter().enumerate() {
         ckt.vsource(
@@ -425,7 +431,7 @@ fn weighted_adder_fixture(
             Waveform::pwm(tech.vdd.value(), frequency, d),
         );
     }
-    Ok((ckt, adder))
+    Ok((ckt, supply, adder))
 }
 
 /// Eq.-2 golden reference for a campaign fixture, computed through the
@@ -448,13 +454,9 @@ fn analytic_reference(
 struct CampaignFixture {
     ckt: Circuit,
     output: NodeId,
+    supply: ElementId,
     universe: Vec<LabeledFault>,
     analytic_vout: f64,
-    /// Run every transient with MOSFET voltage limiting + device latency
-    /// on. The transistor-level campaign enables this so the fault sweep
-    /// exercises the same batched limited evaluator the benchmarks ship;
-    /// switch-level netlists carry no MOSFETs and keep the exact path.
-    limited: bool,
 }
 
 fn run_campaign(
@@ -465,15 +467,15 @@ fn run_campaign(
     config: &CampaignConfig,
     observer: Option<&mut dyn Observer>,
 ) -> Result<CampaignReport, CoreError> {
-    let (ckt, adder) = adder_fixture(tech, spec, weights, duties, config.frequency)?;
+    let (ckt, supply, adder) = adder_fixture(tech, spec, weights, duties, config.frequency)?;
     let universe = switch_adder_universe(&ckt, &adder, &config.universe);
     let analytic_vout = analytic_reference(tech, duties, weights, spec.bits)?;
     let fixture = CampaignFixture {
         ckt,
         output: adder.output,
+        supply,
         universe,
         analytic_vout,
-        limited: false,
     };
     run_campaign_over(fixture, config, observer)
 }
@@ -486,17 +488,30 @@ fn run_weighted_campaign(
     config: &CampaignConfig,
     observer: Option<&mut dyn Observer>,
 ) -> Result<CampaignReport, CoreError> {
-    let (ckt, adder) = weighted_adder_fixture(tech, spec, weights, duties, config.frequency)?;
+    let (ckt, supply, adder) =
+        weighted_adder_fixture(tech, spec, weights, duties, config.frequency)?;
     let universe = weighted_adder_universe(&ckt, &adder, &config.universe);
     let analytic_vout = analytic_reference(tech, duties, weights, spec.bits)?;
     let fixture = CampaignFixture {
         ckt,
         output: adder.output,
+        supply,
         universe,
         analytic_vout,
-        limited: true,
     };
     run_campaign_over(fixture, config, observer)
+}
+
+/// The campaign's fixed transient: `periods` periods of `steps_per_period`
+/// steps, averaged over the trailing `avg_periods`.
+fn campaign_plan(config: &CampaignConfig) -> PeriodicPlan {
+    let period = 1.0 / config.frequency;
+    PeriodicPlan {
+        period,
+        dt: period / config.steps_per_period as f64,
+        t_stop: config.periods as f64 * period,
+        window_periods: config.avg_periods,
+    }
 }
 
 fn run_campaign_over(
@@ -520,30 +535,25 @@ fn run_campaign_over(
     let CampaignFixture {
         ckt,
         output,
+        supply,
         universe,
         analytic_vout,
-        limited,
     } = fixture;
 
-    let period = 1.0 / config.frequency;
-    let dt = period / config.steps_per_period as f64;
-    let t_stop = config.periods as f64 * period;
-    let t_avg_from = t_stop - config.avg_periods as f64 * period;
-    let tran = Transient::new(dt, t_stop).use_initial_conditions();
-
-    let golden = measure(&ckt, output, &tran, &config.rescue, t_avg_from, limited);
+    let plan = campaign_plan(config);
+    let golden = measure(&ckt, output, supply, &plan, &config.rescue);
     let golden_vout = golden
         .vout
         .ok_or(CoreError::Simulation(SimError::NonConvergence {
             analysis: "transient",
-            time: t_stop,
+            time: plan.t_stop,
             iterations: 0,
             stage: "golden",
             attempts: golden.rescue_attempts,
         }))?;
 
     let measure_fault = |lf: &LabeledFault| match lf.fault.apply(&ckt) {
-        Ok(faulty) => measure(&faulty, output, &tran, &config.rescue, t_avg_from, limited),
+        Ok(faulty) => measure(&faulty, output, supply, &plan, &config.rescue),
         Err(e) => Measured {
             vout: None,
             rescue_attempts: 0,
@@ -983,16 +993,16 @@ pub fn switch_adder_triage(
     duties: &[f64],
     config: &CampaignConfig,
 ) -> Result<TriageReport, CoreError> {
-    let (ckt, adder) = adder_fixture(tech, spec, weights, duties, config.frequency)?;
+    let (ckt, supply, adder) = adder_fixture(tech, spec, weights, duties, config.frequency)?;
     let universe = switch_adder_universe(&ckt, &adder, &config.universe);
     let analytic_vout = analytic_reference(tech, duties, weights, spec.bits)?;
     Ok(run_triage_over(
         CampaignFixture {
             ckt,
             output: adder.output,
+            supply,
             universe,
             analytic_vout,
-            limited: false,
         },
         config,
     ))
@@ -1014,16 +1024,17 @@ pub fn weighted_adder_triage(
     duties: &[f64],
     config: &CampaignConfig,
 ) -> Result<TriageReport, CoreError> {
-    let (ckt, adder) = weighted_adder_fixture(tech, spec, weights, duties, config.frequency)?;
+    let (ckt, supply, adder) =
+        weighted_adder_fixture(tech, spec, weights, duties, config.frequency)?;
     let universe = weighted_adder_universe(&ckt, &adder, &config.universe);
     let analytic_vout = analytic_reference(tech, duties, weights, spec.bits)?;
     Ok(run_triage_over(
         CampaignFixture {
             ckt,
             output: adder.output,
+            supply,
             universe,
             analytic_vout,
-            limited: true,
         },
         config,
     ))
@@ -1154,7 +1165,7 @@ mod tests {
             periods: 16,
             ..fast_config()
         };
-        let (ckt, adder) = weighted_adder_fixture(
+        let (ckt, supply, adder) = weighted_adder_fixture(
             &tech,
             AdderSpec::paper_3x3(),
             &[7, 5, 3],
@@ -1167,24 +1178,22 @@ mod tests {
             .find(|lf| lf.label == "net_bridge:add_in2~add_out")
             .expect("the universe bridges the heaviest input to the output");
         let faulty = bridge.fault.apply(&ckt).unwrap();
-        let period = 1.0 / config.frequency;
-        let t_stop = config.periods as f64 * period;
-        let tran = Transient::new(period / config.steps_per_period as f64, t_stop)
-            .use_initial_conditions();
-        let t_avg_from = t_stop - config.avg_periods as f64 * period;
-        let vout = |limited| {
-            measure(
+        let plan = campaign_plan(&config);
+        let vout = |mode| {
+            measure_periodic(
                 &faulty,
                 adder.output,
-                &tran,
-                &config.rescue,
-                t_avg_from,
-                limited,
+                supply,
+                &plan,
+                mode,
+                Some(&config.rescue),
             )
-            .vout
+            .and_then(|run| run.measurement)
             .expect("the bridged adder settles")
+            .vout
+            .value()
         };
-        let (exact, limited) = (vout(false), vout(true));
+        let (exact, limited) = (vout(None), vout(Some(LimitOpts::default())));
         assert!(
             (limited - exact).abs() <= 1e-4,
             "limited {limited} V vs exact {exact} V"

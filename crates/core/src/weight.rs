@@ -141,7 +141,7 @@ impl WeightVector {
     ///
     /// Panics if `index` is out of bounds.
     pub fn nudge(&mut self, index: usize, delta: i64) -> u32 {
-        let new = self.weights[index] as i64 + delta;
+        let new = (self.weights[index] as i64).saturating_add(delta);
         self.set_clamped(index, new);
         self.weights[index]
     }
@@ -252,7 +252,7 @@ impl SignedWeightVector {
     /// Panics if `index` is out of bounds.
     pub fn nudge(&mut self, index: usize, delta: i32) {
         let max = (1i32 << self.bits) - 1;
-        self.weights[index] = (self.weights[index] + delta).clamp(-max, max);
+        self.weights[index] = self.weights[index].saturating_add(delta).clamp(-max, max);
     }
 
     /// Splits into the positive and negative unsigned halves that drive
@@ -295,6 +295,20 @@ mod tests {
         assert_eq!(w.nudge(0, 5), 7);
         assert_eq!(w.nudge(0, -20), 0);
         assert_eq!(w.nudge(0, 3), 3);
+        // Steps at the integer limits saturate instead of overflowing.
+        let mut w = WeightVector::new(vec![6], 3).unwrap();
+        assert_eq!(w.nudge(0, i64::MAX), 7);
+        assert_eq!(w.nudge(0, i64::MIN), 0);
+        for (start, delta, end) in [
+            (6, i32::MAX, 7),
+            (6, i32::MIN, -7),
+            (-6, i32::MAX, 7),
+            (-6, i32::MIN, -7),
+        ] {
+            let mut s = SignedWeightVector::new(vec![start], 3).unwrap();
+            s.nudge(0, delta);
+            assert_eq!(s.as_slice(), &[end], "{start} + {delta}");
+        }
     }
 
     #[test]

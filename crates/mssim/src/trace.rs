@@ -154,32 +154,6 @@ impl<'a> Trace<'a> {
         sum
     }
 
-    /// RMS value over `[from, to]`.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Trace::average_between`].
-    pub fn rms_between(&self, from: f64, to: f64) -> f64 {
-        assert!(self.len() >= 2, "need at least two samples");
-        assert!(from < to, "window must have positive width");
-        let mut sum = 0.0;
-        let mut prev_t = from;
-        let mut prev_v = self.value_at(from);
-        let i0 = self.t.partition_point(|&ti| ti <= from);
-        for i in i0..self.t.len() {
-            let (ti, vi) = (self.t[i], self.v[i]);
-            if ti >= to {
-                break;
-            }
-            sum += 0.5 * (prev_v * prev_v + vi * vi) * (ti - prev_t);
-            prev_t = ti;
-            prev_v = vi;
-        }
-        let v_end = self.value_at(to);
-        sum += 0.5 * (prev_v * prev_v + v_end * v_end) * (to - prev_t);
-        (sum / (to - from)).sqrt()
-    }
-
     /// Peak-to-peak excursion over `[from, to]`.
     ///
     /// # Panics
@@ -217,20 +191,6 @@ impl<'a> Trace<'a> {
             end - start
         );
         self.average_between(end - window, end)
-    }
-
-    /// First time after which the signal stays within `tol` of `target`
-    /// until the end of the trace, or `None` if it never settles.
-    pub fn settling_time(&self, target: f64, tol: f64) -> Option<f64> {
-        let mut settled_since: Option<f64> = None;
-        for (&ti, &vi) in self.t.iter().zip(self.v) {
-            if (vi - target).abs() <= tol {
-                settled_since.get_or_insert(ti);
-            } else {
-                settled_since = None;
-            }
-        }
-        settled_since
     }
 
     /// Fraction of `[from, to]` the signal spends above `threshold` — the
@@ -278,18 +238,6 @@ impl<'a> Trace<'a> {
         let v_end = self.value_at(to);
         high_time += segment(prev_t, prev_v, to, v_end);
         high_time / (to - from)
-    }
-
-    /// Writes the trace as two-column CSV (`time,value`).
-    pub fn to_csv(&self, header: &str) -> String {
-        let mut out = String::with_capacity(self.len() * 24 + header.len() + 8);
-        out.push_str("time,");
-        out.push_str(header);
-        out.push('\n');
-        for (&t, &v) in self.t.iter().zip(self.v) {
-            out.push_str(&format!("{t:e},{v:e}\n"));
-        }
-        out
     }
 }
 
@@ -362,20 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn rms_of_constant_and_ramp() {
-        let t = vec![0.0, 1.0];
-        let v = vec![2.0, 2.0];
-        assert!((Trace::new(&t, &v).rms_between(0.0, 1.0) - 2.0).abs() < 1e-12);
-
-        // RMS of v = t over [0,1] is 1/sqrt(3) — exact for trapezoid of v²
-        // only in the fine-grid limit, so use a fine grid.
-        let t: Vec<f64> = (0..=1000).map(|i| i as f64 / 1000.0).collect();
-        let v = t.clone();
-        let rms = Trace::new(&t, &v).rms_between(0.0, 1.0);
-        assert!((rms - 1.0 / 3f64.sqrt()).abs() < 1e-4, "rms = {rms}");
-    }
-
-    #[test]
     fn min_max_ripple() {
         let t = vec![0.0, 1.0, 2.0, 3.0];
         let v = vec![1.0, 3.0, 0.5, 2.0];
@@ -408,17 +342,6 @@ mod tests {
         let tr = Trace::new(&t, &v);
         let avg = tr.steady_state_average(1.0, 4);
         assert!((avg - 2.0).abs() < 0.02, "avg = {avg}");
-    }
-
-    #[test]
-    fn settling_detection() {
-        let t: Vec<f64> = (0..100).map(|i| i as f64 * 0.1).collect();
-        let v: Vec<f64> = t.iter().map(|&x| 1.0 - (-x).exp()).collect();
-        let tr = Trace::new(&t, &v);
-        let ts = tr.settling_time(1.0, 0.05).expect("settles");
-        // 1 - e^-t = 0.95 at t = ln 20 ≈ 3.0.
-        assert!(ts > 2.5 && ts < 3.5, "ts = {ts}");
-        assert!(tr.settling_time(5.0, 0.01).is_none());
     }
 
     #[test]
@@ -476,16 +399,5 @@ mod tests {
         let lo = vec![0.1, 0.1];
         assert_eq!(Trace::new(&t, &hi).duty_cycle_between(1.0, 0.0, 1.0), 1.0);
         assert_eq!(Trace::new(&t, &lo).duty_cycle_between(1.0, 0.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let t = vec![0.0, 1e-9];
-        let v = vec![1.5, 2.5];
-        let csv = Trace::new(&t, &v).to_csv("vout");
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("time,vout"));
-        assert_eq!(lines.next(), Some("0e0,1.5e0"));
-        assert_eq!(lines.next(), Some("1e-9,2.5e0"));
     }
 }

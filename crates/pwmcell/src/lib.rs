@@ -19,7 +19,8 @@
 //!   periodic-steady-state solver, used where thousands of evaluations are
 //!   needed (training loops, Monte Carlo),
 //! * [`InverterTestbench`] / [`AdderTestbench`] — ready-made measurement
-//!   harnesses that reproduce the paper's experiments.
+//!   harnesses that reproduce the paper's experiments, all measuring
+//!   through [`measure_periodic`], the one PWM-averaged transient.
 //!
 //! ## Example: transcode a 30 % duty cycle
 //!
@@ -60,6 +61,7 @@ pub use perceptron_circuit::{PerceptronCircuit, PerceptronTestbench};
 pub use switch_model::{PwmNode, SwitchCell};
 pub use tech::Technology;
 pub use testbench::{
-    AdderBatchBench, AdderMeasurement, AdderTestbench, InverterMeasurement, InverterTestbench,
-    MeasureSpec, RescuedAdderMeasurement, SimQuality,
+    measure_periodic, AdderBatchBench, AdderMeasurement, AdderTestbench, InverterMeasurement,
+    InverterTestbench, MeasureSpec, PeriodicMeasurement, PeriodicPlan, PeriodicRun,
+    RescuedAdderMeasurement, SimQuality,
 };

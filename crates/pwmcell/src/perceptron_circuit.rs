@@ -13,7 +13,7 @@ use mssim::prelude::*;
 use crate::adder::{AdderSpec, WeightedAdder};
 use crate::comparator::DiffComparator;
 use crate::tech::Technology;
-use crate::testbench::SimQuality;
+use crate::testbench::{measure_periodic, SimQuality};
 
 /// Handles to a complete perceptron circuit.
 #[derive(Debug, Clone)]
@@ -130,7 +130,8 @@ impl PerceptronTestbench {
 
     /// Builds the full circuit, applies the PWM inputs, runs a transient
     /// at supply `vdd`, and reads the digital decision (comparator output
-    /// averaged over the final period, thresholded at Vdd/2).
+    /// averaged over the final `quality.measure_periods` periods,
+    /// thresholded at Vdd/2).
     ///
     /// # Errors
     ///
@@ -152,7 +153,7 @@ impl PerceptronTestbench {
 
         let mut ckt = Circuit::new();
         let vdd_node = ckt.node("vdd");
-        ckt.vsource("VDD", vdd_node, Circuit::GND, Waveform::dc(vdd.value()));
+        let vdd_src = ckt.vsource("VDD", vdd_node, Circuit::GND, Waveform::dc(vdd.value()));
         let dut = PerceptronCircuit::build(
             &mut ckt,
             &self.tech,
@@ -176,23 +177,16 @@ impl PerceptronTestbench {
             );
         }
 
-        // Settle the adder output (the slowest node) then sample.
+        // Settle the adder output (the slowest node) then sample, in exact
+        // mode: limited mode stalls at the first step.
         let ron = 0.5 * (self.tech.ron_n().value() + self.tech.ron_p().value());
         let units = self.spec.inputs as f64 * self.spec.max_weight() as f64;
         let tau = (self.tech.rout.value() + ron) / units * self.tech.cout_adder.value();
-        let settle = ((quality.settle_time_constants * tau / period).ceil() as usize)
-            .max(quality.min_settle_periods);
-        let total = (settle + quality.measure_periods).min(quality.max_total_periods);
-        let result = Session::new(&ckt).transient(
-            &Transient::new(
-                period / quality.steps_per_period as f64,
-                total as f64 * period,
-            )
-            .use_initial_conditions(),
-        )?;
-        let v_out = result
-            .voltage(dut.output)
-            .steady_state_average(period, quality.measure_periods);
+        let plan = quality.plan(period, tau);
+        let v_out = measure_periodic(&ckt, dut.output, vdd_src, &plan, None, None)?
+            .measurement?
+            .vout
+            .value();
         Ok(v_out > 0.5 * vdd.value())
     }
 }

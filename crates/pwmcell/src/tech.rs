@@ -132,14 +132,6 @@ impl Technology {
     pub fn ron_p(&self) -> Ohms {
         Ohms(self.pmos.r_on(self.vdd.value()))
     }
-
-    /// First-order output time constant of the transcoding inverter:
-    /// `(Rout + Ron)·Cout` with the mean on-resistance.
-    pub fn inverter_tau(&self, rout: Option<Ohms>) -> f64 {
-        let ron = 0.5 * (self.ron_n().value() + self.ron_p().value());
-        let r = rout.map_or(0.0, Ohms::value) + ron;
-        r * self.cout_inverter.value()
-    }
 }
 
 impl Default for Technology {
@@ -185,16 +177,6 @@ mod tests {
         // Ron ≪ 100 kΩ (linear regime), comparable to 5 kΩ (nonlinear).
         assert!(rn < 0.15 * t.rout.value());
         assert!(rn > 0.5 * 5e3);
-    }
-
-    #[test]
-    fn inverter_tau_scale() {
-        let t = Technology::umc65_like();
-        let tau = t.inverter_tau(Some(t.rout));
-        // ~ (100k + 9k) * 1pF ≈ 110 ns.
-        assert!(tau > 80e-9 && tau < 150e-9, "tau = {tau}");
-        let tau_noload = t.inverter_tau(None);
-        assert!(tau_noload < 20e-9);
     }
 
     #[test]

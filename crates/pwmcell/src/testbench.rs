@@ -1,22 +1,29 @@
 //! Measurement harnesses for the paper's experiments.
 //!
-//! [`InverterTestbench`] and [`AdderTestbench`] build a complete circuit
-//! (supply, PWM stimulus, device under test), pick transient parameters
-//! from the circuit's own time constants, run [`mssim`]'s transient
-//! analysis and extract cycle-aligned steady-state measurements — exactly
-//! the procedure behind the paper's Figs. 4–8 and Table II.
+//! Every number in the paper is one measurement: the settled cycle
+//! average of a PWM-driven RC node. [`measure_periodic`] is that
+//! measurement, once: it runs a built circuit from UIC for a
+//! [`PeriodicPlan`] in a given MOS mode, optionally under the rescue
+//! ladder, and reads the output average, ripple and supply power over the
+//! plan's trailing window. [`SimQuality::plan`] is the one settle rule
+//! that sizes such a plan from an output time constant.
 //!
-//! Every transient here evaluates MOSFETs in limited mode
-//! (`Session::with_limit_opts`) at one latency band, `MEASURE_BAND`
-//! (reltol 2.5e-3, abstol 1.25e-4), far tighter than the fault campaigns'
-//! [`LimitOpts::default`]. Exact mode stays the oracle: the agreement test
-//! measures inverter, Table II and serve-grid adder fixtures both ways
-//! and holds vout within 1e-5 V and supply power within a relative 1e-5.
-//! On the paper's technology the band moves no figure row by more than
-//! 6.3e-6 V, and a serve-grid adder transient does 4.7× fewer MOSFET
-//! evaluations and half the factorizations of exact mode.
-//! [`PerceptronTestbench`](crate::PerceptronTestbench) stays in exact mode:
-//! limited mode stalls at its first step.
+//! [`InverterTestbench`] and [`AdderTestbench`] build a complete circuit
+//! (supply, PWM stimulus, device under test), plan the transient from the
+//! circuit's own time constant and measure it through
+//! [`measure_periodic`] — exactly the procedure behind the paper's
+//! Figs. 4–8 and Table II.
+//!
+//! Their transients evaluate MOSFETs in limited mode at one latency band,
+//! `MEASURE_BAND` (reltol 2.5e-3, abstol 1.25e-4), far tighter than the
+//! fault campaigns' [`LimitOpts::default`]. Exact mode stays the oracle:
+//! the agreement test measures inverter, Table II and serve-grid adder
+//! fixtures both ways and holds vout within 1e-5 V and supply power within
+//! a relative 1e-5. On the paper's technology the band moves no figure row
+//! by more than 6.3e-6 V, and a serve-grid adder transient does 4.7× fewer
+//! MOSFET evaluations and half the factorizations of exact mode.
+//! [`PerceptronTestbench`](crate::PerceptronTestbench) measures in exact
+//! mode: limited mode stalls at its first step.
 
 use mssim::prelude::*;
 use mssim::session::LimitOpts;
@@ -41,19 +48,108 @@ const MEASURE_BAND: LimitOpts = LimitOpts {
 
 #[cfg(test)]
 thread_local! {
-    /// Test hook: runs this thread's testbench transients in exact mode,
+    /// Test hook: runs this thread's periodic measurements in exact mode,
     /// the oracle the agreement test measures the band against.
     static EXACT_MODE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// The session of one testbench transient: limited-mode MOS evaluation at
-/// [`MEASURE_BAND`].
-fn session(ckt: &Circuit) -> Session<'_, '_> {
+/// Time grid of one periodic measurement: a fixed-step transient from
+/// UIC to `t_stop`, measured over its last `window_periods` periods.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PeriodicPlan {
+    /// PWM period, seconds.
+    pub period: f64,
+    /// Time step, seconds.
+    pub dt: f64,
+    /// Stop time, seconds.
+    pub t_stop: f64,
+    /// Trailing measurement window in whole periods.
+    pub window_periods: usize,
+}
+
+/// The settled cycle average of a PWM-driven node over a trailing window.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PeriodicMeasurement {
+    /// Cycle-averaged output voltage.
+    pub vout: Volts,
+    /// Peak-to-peak output ripple over the window.
+    pub ripple: Volts,
+    /// Average power drawn from the supply over the window.
+    pub supply_power: Watts,
+}
+
+/// One periodic transient and what it measured.
+#[derive(Debug, Clone)]
+pub struct PeriodicRun {
+    /// The transient; always complete when no rescue policy was given.
+    pub outcome: TransientOutcome,
+    /// The trailing-window measurement: over the planned window for a
+    /// complete run, over the window clamped to the recorded span for a
+    /// partial one, and the run's terminal error when a partial run
+    /// recorded too little to measure.
+    pub measurement: Result<PeriodicMeasurement, Error>,
+}
+
+/// Runs `ckt` from UIC for `plan` and measures `output` and the power of
+/// the voltage source `supply` over the plan's trailing window.
+///
+/// `mode` selects MOSFET evaluation: `None` is exact mode, `Some(opts)`
+/// limited mode at those latency bands. With a `rescue` policy the run
+/// goes through the transient rescue ladder and may come back partial;
+/// without one, non-convergence is an error.
+///
+/// # Errors
+///
+/// Propagates simulator errors (lint rejection, singular matrix,
+/// non-convergence of the initial DC solve, and any non-convergence when
+/// `rescue` is `None`), and [`Error::UnknownProbe`] when `supply` is not a
+/// voltage source of `ckt`.
+pub fn measure_periodic(
+    ckt: &Circuit,
+    output: NodeId,
+    supply: ElementId,
+    plan: &PeriodicPlan,
+    mode: Option<LimitOpts>,
+    rescue: Option<&RescuePolicy>,
+) -> Result<PeriodicRun, Error> {
     #[cfg(test)]
-    if EXACT_MODE.with(std::cell::Cell::get) {
-        return Session::new(ckt);
+    let mode = mode.filter(|_| !EXACT_MODE.with(std::cell::Cell::get));
+    let mut session = Session::new(ckt);
+    if let Some(opts) = mode {
+        session = session.with_limit_opts(opts);
     }
-    Session::new(ckt).with_limit_opts(MEASURE_BAND)
+    let tran = Transient::new(plan.dt, plan.t_stop).use_initial_conditions();
+    let outcome = match rescue {
+        Some(policy) => session.transient_rescued(&tran, policy)?,
+        None => TransientOutcome::Complete {
+            result: session.transient(&tran)?,
+            rescues: RescueReport::default(),
+        },
+    };
+    let result = outcome.result();
+    let trace = result.voltage(output);
+    let (t_start, t_end) = trace.span();
+    let mut t_win = t_end - plan.window_periods as f64 * plan.period;
+    if outcome.is_partial() {
+        t_win = t_win.max(t_start);
+    }
+    let measurement = match &outcome {
+        TransientOutcome::Partial { error, .. } if t_win >= t_end => Err(error.clone()),
+        _ => Ok(PeriodicMeasurement {
+            vout: Volts(trace.average_between(t_win, t_end)),
+            ripple: Volts(trace.ripple_between(t_win, t_end)),
+            supply_power: Watts(
+                result
+                    .source_power(supply)?
+                    .as_trace()
+                    .average_between(t_win, t_end),
+            ),
+        }),
+    };
+    Ok(PeriodicRun {
+        outcome,
+        measurement,
+    })
 }
 
 /// Simulation effort: how finely to step and how long to settle.
@@ -95,14 +191,20 @@ impl SimQuality {
         }
     }
 
-    /// Chooses `(dt, t_stop, measure_window_periods)` for a PWM period and
-    /// an output time constant.
-    fn plan(&self, period: f64, tau: f64) -> (f64, f64, usize) {
+    /// The settle rule: plans a measurement of a PWM period and an output
+    /// time constant `tau` that settles for `settle_time_constants · tau`
+    /// (at least `min_settle_periods`), then measures `measure_periods`,
+    /// capped at `max_total_periods` in all.
+    pub fn plan(&self, period: f64, tau: f64) -> PeriodicPlan {
         let settle = ((self.settle_time_constants * tau / period).ceil() as usize)
             .max(self.min_settle_periods);
         let total = (settle + self.measure_periods).min(self.max_total_periods);
-        let dt = period / self.steps_per_period as f64;
-        (dt, total as f64 * period, self.measure_periods)
+        PeriodicPlan {
+            period,
+            dt: period / self.steps_per_period as f64,
+            t_stop: total as f64 * period,
+            window_periods: self.measure_periods,
+        }
     }
 }
 
@@ -254,25 +356,13 @@ impl InverterTestbench {
             &mut ckt, &self.tech, "dut", in_node, vdd_node, self.rout, self.cout,
         );
 
-        let tau = self.output_tau(vdd);
-        let (dt, t_stop, win) = quality.plan(period, tau);
-        let result =
-            session(&ckt).transient(&Transient::new(dt, t_stop).use_initial_conditions())?;
-
-        let vout_trace = result.voltage(inv.output);
-        let vout = vout_trace.steady_state_average(period, win);
-        let (_, t_end) = vout_trace.span();
-        let t_win = t_end - win as f64 * period;
-        let ripple = vout_trace.ripple_between(t_win, t_end);
-        let power = result
-            .source_power(vdd_src)?
-            .as_trace()
-            .average_between(t_win, t_end);
-
+        let plan = quality.plan(period, self.output_tau(vdd));
+        let mode = Some(MEASURE_BAND);
+        let m = measure_periodic(&ckt, inv.output, vdd_src, &plan, mode, None)?.measurement?;
         Ok(InverterMeasurement {
-            vout: Volts(vout),
-            ripple: Volts(ripple),
-            supply_power: Watts(power),
+            vout: m.vout,
+            ripple: m.ripple,
+            supply_power: m.supply_power,
             vdd,
         })
     }
@@ -421,7 +511,8 @@ impl AdderTestbench {
         self.measure_at(duties, weights, self.tech.frequency, self.tech.vdd, quality)
     }
 
-    /// Runs one transient measurement at an explicit frequency and supply.
+    /// Runs one transient measurement at an explicit frequency and supply:
+    /// a [`Self::batch_runner`] used once.
     ///
     /// # Errors
     ///
@@ -439,48 +530,8 @@ impl AdderTestbench {
         vdd: Volts,
         quality: &SimQuality,
     ) -> Result<AdderMeasurement, Error> {
-        assert_eq!(duties.len(), self.spec.inputs, "one duty per input");
-        let period = frequency.period().value();
-
-        let mut ckt = Circuit::new();
-        let vdd_node = ckt.node("vdd");
-        let vdd_src = ckt.vsource("VDD", vdd_node, Circuit::GND, Waveform::dc(vdd.value()));
-        let adder = WeightedAdder::build(&mut ckt, &self.tech, "dut", vdd_node, weights, self.spec);
-        for (i, &d) in duties.iter().enumerate() {
-            ckt.vsource(
-                &format!("VIN{i}"),
-                adder.inputs[i],
-                Circuit::GND,
-                Waveform::pwm_with_edges(
-                    vdd.value(),
-                    frequency.value(),
-                    d,
-                    self.tech.edge_fraction(frequency),
-                ),
-            );
-        }
-
-        let tau = self.output_tau(vdd);
-        let (dt, t_stop, win) = quality.plan(period, tau);
-        let result =
-            session(&ckt).transient(&Transient::new(dt, t_stop).use_initial_conditions())?;
-
-        let vout_trace = result.voltage(adder.output);
-        let vout = vout_trace.steady_state_average(period, win);
-        let (_, t_end) = vout_trace.span();
-        let t_win = t_end - win as f64 * period;
-        let ripple = vout_trace.ripple_between(t_win, t_end);
-        let power = result
-            .source_power(vdd_src)?
-            .as_trace()
-            .average_between(t_win, t_end);
-
-        Ok(AdderMeasurement {
-            vout: Volts(vout),
-            ripple: Volts(ripple),
-            supply_power: Watts(power),
-            vdd,
-        })
+        self.batch_runner(weights, frequency, vdd, quality)
+            .measure(duties)
     }
 
     /// First-order time constant of the shared output node: the parallel
@@ -501,9 +552,6 @@ impl AdderTestbench {
     /// swaps input waveforms on a clone (waveform edits do not change the
     /// matrix structure, so the solver's symbolic work is identical).
     ///
-    /// Produces bitwise-identical measurements to [`Self::measure_at`]
-    /// with the same arguments.
-    ///
     /// # Panics
     ///
     /// Panics if `weights` do not match the adder dimensions or are out
@@ -516,44 +564,33 @@ impl AdderTestbench {
         quality: &SimQuality,
     ) -> AdderBatchBench {
         let period = frequency.period().value();
+        let edge_fraction = self.tech.edge_fraction(frequency);
 
         let mut ckt = Circuit::new();
         let vdd_node = ckt.node("vdd");
         let vdd_src = ckt.vsource("VDD", vdd_node, Circuit::GND, Waveform::dc(vdd.value()));
         let adder = WeightedAdder::build(&mut ckt, &self.tech, "dut", vdd_node, weights, self.spec);
-        // Placeholder stimulus; measure() replaces each waveform. Built
-        // through the same constructor as measure_at so element ordering
-        // (and therefore matrix ordering) matches exactly.
+        // Placeholder stimulus; measure() replaces each waveform.
         let vin_srcs: Vec<ElementId> = (0..self.spec.inputs)
             .map(|i| {
                 ckt.vsource(
                     &format!("VIN{i}"),
                     adder.inputs[i],
                     Circuit::GND,
-                    Waveform::pwm_with_edges(
-                        vdd.value(),
-                        frequency.value(),
-                        0.5,
-                        self.tech.edge_fraction(frequency),
-                    ),
+                    Waveform::pwm_with_edges(vdd.value(), frequency.value(), 0.5, edge_fraction),
                 )
             })
             .collect();
 
-        let tau = self.output_tau(vdd);
-        let (dt, t_stop, win) = quality.plan(period, tau);
         AdderBatchBench {
             ckt,
             vin_srcs,
             vdd_src,
             output: adder.output,
-            edge_fraction: self.tech.edge_fraction(frequency),
+            edge_fraction,
             frequency,
             vdd,
-            period,
-            dt,
-            t_stop,
-            win,
+            plan: quality.plan(period, self.output_tau(vdd)),
         }
     }
 }
@@ -574,10 +611,7 @@ pub struct AdderBatchBench {
     edge_fraction: f64,
     frequency: Hertz,
     vdd: Volts,
-    period: f64,
-    dt: f64,
-    t_stop: f64,
-    win: usize,
+    plan: PeriodicPlan,
 }
 
 impl AdderBatchBench {
@@ -591,46 +625,15 @@ impl AdderBatchBench {
     ///
     /// Panics if `duties` does not match the adder's input count.
     pub fn measure(&self, duties: &[f64]) -> Result<AdderMeasurement, Error> {
-        assert_eq!(duties.len(), self.vin_srcs.len(), "one duty per input");
-        let mut ckt = self.ckt.clone();
-        for (&src, &d) in self.vin_srcs.iter().zip(duties) {
-            ckt.set_waveform(
-                src,
-                Waveform::pwm_with_edges(
-                    self.vdd.value(),
-                    self.frequency.value(),
-                    d,
-                    self.edge_fraction,
-                ),
-            )?;
-        }
-
-        let result = session(&ckt)
-            .transient(&Transient::new(self.dt, self.t_stop).use_initial_conditions())?;
-
-        let vout_trace = result.voltage(self.output);
-        let vout = vout_trace.steady_state_average(self.period, self.win);
-        let (_, t_end) = vout_trace.span();
-        let t_win = t_end - self.win as f64 * self.period;
-        let ripple = vout_trace.ripple_between(t_win, t_end);
-        let power = result
-            .source_power(self.vdd_src)?
-            .as_trace()
-            .average_between(t_win, t_end);
-
-        Ok(AdderMeasurement {
-            vout: Volts(vout),
-            ripple: Volts(ripple),
-            supply_power: Watts(power),
-            vdd: self.vdd,
-        })
+        Ok(self.measure_rescued(duties, None)?.measurement)
     }
 
-    /// [`AdderBatchBench::measure`] run under the transient rescue ladder:
-    /// recoverable non-convergence is retried per step, and a run whose
-    /// ladder runs dry still yields a measurement over the trailing window
-    /// of the truncated waveform, flagged `partial` — serving layers can
-    /// hand it out as a degraded answer instead of failing the query.
+    /// [`AdderBatchBench::measure`], under the transient rescue ladder when
+    /// `policy` is given: recoverable non-convergence is retried per step,
+    /// and a run whose ladder runs dry still yields a measurement over the
+    /// trailing window of the truncated waveform, flagged `partial` —
+    /// serving layers can hand it out as a degraded answer instead of
+    /// failing the query.
     ///
     /// A run that needs no rescue is bitwise identical to
     /// [`AdderBatchBench::measure`].
@@ -638,8 +641,9 @@ impl AdderBatchBench {
     /// # Errors
     ///
     /// Propagates structural errors (lint rejection, singular matrix,
-    /// initial-DC non-convergence), and the terminal non-convergence when
-    /// a partial waveform is too short to measure at all.
+    /// initial-DC non-convergence), any non-convergence without a
+    /// `policy`, and the terminal non-convergence when a partial waveform
+    /// is too short to measure at all.
     ///
     /// # Panics
     ///
@@ -647,7 +651,7 @@ impl AdderBatchBench {
     pub fn measure_rescued(
         &self,
         duties: &[f64],
-        policy: &RescuePolicy,
+        policy: Option<&RescuePolicy>,
     ) -> Result<RescuedAdderMeasurement, Error> {
         assert_eq!(duties.len(), self.vin_srcs.len(), "one duty per input");
         let mut ckt = self.ckt.clone();
@@ -662,47 +666,18 @@ impl AdderBatchBench {
                 ),
             )?;
         }
-
-        let outcome = session(&ckt).transient_rescued(
-            &Transient::new(self.dt, self.t_stop).use_initial_conditions(),
-            policy,
-        )?;
-        let partial = outcome.is_partial();
-        let rescue_attempts = outcome.rescues().total_attempts();
-        let (result, terminal) = match outcome {
-            TransientOutcome::Complete { result, .. } => (result, None),
-            TransientOutcome::Partial { result, error, .. } => (result, Some(error)),
-        };
-
-        let vout_trace = result.voltage(self.output);
-        let (t_start, t_end) = vout_trace.span();
-        // Full window for a complete run (identical to measure()); the
-        // trailing window clamped to the recorded span for a partial one.
-        let t_win = if partial {
-            let clamped = (t_end - self.win as f64 * self.period).max(t_start);
-            if vout_trace.len() < 2 || clamped >= t_end {
-                return Err(terminal.expect("partial outcome carries its error"));
-            }
-            clamped
-        } else {
-            t_end - self.win as f64 * self.period
-        };
-        let vout = vout_trace.average_between(t_win, t_end);
-        let ripple = vout_trace.ripple_between(t_win, t_end);
-        let power = result
-            .source_power(self.vdd_src)?
-            .as_trace()
-            .average_between(t_win, t_end);
-
+        let mode = Some(MEASURE_BAND);
+        let run = measure_periodic(&ckt, self.output, self.vdd_src, &self.plan, mode, policy)?;
+        let m = run.measurement?;
         Ok(RescuedAdderMeasurement {
             measurement: AdderMeasurement {
-                vout: Volts(vout),
-                ripple: Volts(ripple),
-                supply_power: Watts(power),
+                vout: m.vout,
+                ripple: m.ripple,
+                supply_power: m.supply_power,
                 vdd: self.vdd,
             },
-            partial,
-            rescue_attempts,
+            partial: run.outcome.is_partial(),
+            rescue_attempts: run.outcome.rescues().total_attempts(),
         })
     }
 }
@@ -807,7 +782,7 @@ mod tests {
         let duties = [0.3, 0.6, 0.9];
         let clean = runner.measure(&duties).unwrap();
         let rescued = runner
-            .measure_rescued(&duties, &RescuePolicy::default())
+            .measure_rescued(&duties, Some(&RescuePolicy::default()))
             .unwrap();
         assert!(!rescued.partial);
         assert_eq!(rescued.rescue_attempts, 0);
@@ -882,7 +857,7 @@ mod tests {
                     } else {
                         let policy = RescuePolicy::default();
                         runner
-                            .measure_rescued(&duties, &policy)
+                            .measure_rescued(&duties, Some(&policy))
                             .unwrap()
                             .measurement
                     };
@@ -901,13 +876,14 @@ mod tests {
     fn quality_plan_respects_caps() {
         let q = SimQuality::fast();
         // Extreme τ/T ratio must hit the period cap.
-        let (_, t_stop, _) = q.plan(1e-9, 1.0);
-        assert!(t_stop <= q.max_total_periods as f64 * 1e-9 + 1e-15);
+        let capped = q.plan(1e-9, 1.0);
+        assert!(capped.t_stop <= q.max_total_periods as f64 * 1e-9 + 1e-15);
         // Relaxed ratio obeys the minimum settle.
-        let (dt, t_stop2, _) = q.plan(1e-6, 1e-9);
-        assert!((dt - 1e-6 / 100.0).abs() < 1e-18);
-        let periods = (t_stop2 / 1e-6).round() as usize;
+        let relaxed = q.plan(1e-6, 1e-9);
+        assert!((relaxed.dt - 1e-6 / 100.0).abs() < 1e-18);
+        let periods = (relaxed.t_stop / 1e-6).round() as usize;
         assert_eq!(periods, q.min_settle_periods + q.measure_periods);
+        assert_eq!(relaxed.window_periods, q.measure_periods);
     }
 
     #[test]
